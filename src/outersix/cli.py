@@ -13,88 +13,71 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter, namedtuple
 
 from . import autgroup, icosahedron, involutions, k6, verify
-from .perms import Permutation, enumerate_sym, involution_class, involution_class_size
+from .errors import IntegrityError
+from .graphs import girth, is_bipartite
+from .perms import Permutation, enumerate_sym, involution_class_size
 
 SCHEMA = "outersix/1"
 
-
-def _report(command: str, parameters: dict, findings: dict, passed: bool) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "parameters": parameters,
-        "findings": findings,
-        "pass": passed,
-    }
+# Parsed arguments that are not report parameters: the subcommand name and
+# the output options.
+_NOT_PARAMETERS = ("command", "json", "out", "render")
 
 
 def _permutation_json(p: Permutation) -> dict:
     return {"images": list(p.images), "cycles": p.cycle_string()}
 
 
-def _sorted_triples(triples) -> list[list[int]]:
-    return sorted(sorted(t) for t in triples)
-
-
-def cmd_classes(n: int) -> dict:
+def _classes(n: int) -> tuple[dict, bool]:
     if not 2 <= n <= 8:
         raise ValueError(f"classes supported for 2 <= n <= 8, got {n}")
-    by_type = {}
-    for p in enumerate_sym(n):
-        cycle_type = p.cycle_type()
-        if set(cycle_type) <= {1, 2} and 2 in cycle_type:
-            j = cycle_type.count(2)
-            by_type[j] = by_type.get(j, 0) + 1
+    types = (p.cycle_type() for p in enumerate_sym(n))
+    by_type = Counter(t.count(2) for t in types if set(t) <= {1, 2} and 2 in t)
     rows = []
     consistent = True
     for j in range(1, n // 2 + 1):
         size = involution_class_size(n, j)
-        counted = by_type.get(j, 0)
+        counted = by_type[j]
         consistent = consistent and size == counted
         rows.append(
             {"j": j, "fixed_points": n - 2 * j, "size": size, "enumerated": counted}
         )
     consistent = consistent and set(by_type) == set(range(1, n // 2 + 1))
-    findings = {"rows": rows}
-    return _report("classes", {"n": n}, findings, consistent)
+    return {"rows": rows}, consistent
 
 
-def cmd_lemma1(n: int) -> dict:
+def _lemma1(n: int) -> tuple[dict, bool]:
     found = involutions.maximal_independent_sets(n)
     star_sets = frozenset(involutions.stars(n).values())
-    rendered = sorted(
-        sorted(p.cycle_string() for p in members) for members in found
-    )
-    passed = found == star_sets and len(found) == n
+    rendered = sorted(sorted(p.cycle_string() for p in members) for members in found)
     findings = {
         "maximal_sets": rendered,
         "count": len(found),
         "sizes": sorted(len(s) for s in found),
         "all_point_stars": found == star_sets,
     }
-    return _report("lemma1", {"n": n}, findings, passed)
+    return findings, found == star_sets and len(found) == n
 
 
-def cmd_lemma2(n_max: int) -> dict:
+def _lemma2(n_max: int) -> tuple[dict, bool]:
     rows = involutions.lemma2_survey(n_max)
     survivors = [[n, j] for n, j in involutions.surviving_classes(n_max)]
     expected = [[6, 3]] if n_max >= 6 else []
-    findings = {"rows": rows, "survivors": survivors}
-    return _report("lemma2", {"n_max": n_max}, findings, survivors == expected)
+    return {"rows": rows, "survivors": survivors}, survivors == expected
 
 
-def cmd_aut(n: int) -> dict:
+def _aut(n: int) -> tuple[dict, bool]:
     if n == 2:
-        findings = {
+        return {
             "aut_order": 1,
             "inner_order": 1,
             "out_order": 1,
             "note": "degree 2 is reported by convention; the group is abelian "
             "of order 2 and admits no nontrivial automorphism",
-        }
-        return _report("aut", {"n": n}, findings, True)
+        }, True
     aut = autgroup.enumerate_automorphisms(n)
     inner, outer = autgroup.inner_and_outer(n)
     out = autgroup.out_order(n)
@@ -107,209 +90,260 @@ def cmd_aut(n: int) -> dict:
     passed = len(aut) == len(inner) + len(outer) and out == (2 if n == 6 else 1)
     if n == 6:
         involutive = autgroup.involutive_outer_count()
-        sample = outer[0]
-        x_image, y_image = sample.generator_images()
+        x_image, y_image = outer[0].generator_images()
         findings["involutive_outer"] = involutive
         findings["sample_outer"] = {
             "image_of_(1,2)": _permutation_json(x_image),
             "image_of_(1,2,3,4,5,6)": _permutation_json(y_image),
         }
         passed = passed and len(aut) == 1440 and involutive == 36
-    return _report("aut", {"n": n}, findings, passed)
+    return findings, passed
 
 
-def cmd_icosa(emit: str) -> dict:
+def _icosa_labelings() -> dict:
     table = icosahedron.dual_pair_table()
-    if emit == "labelings":
-        model = table.model
-        findings = {
-            "vertices": list(model.vertices),
-            "antipode": {str(v): model.antipode[v] for v in model.vertices},
-            "faces": _sorted_triples(model.faces),
-            "rotations": len(table.rotations),
-            "labelings": len(table.labelings),
-            "classes": [
-                {
-                    "index": c,
-                    "representative": list(table.class_reps[c]),
-                    "orbit_size": 60,
-                    "face_triples": _sorted_triples(table.face_triples(c)),
-                }
-                for c in range(12)
-            ],
-        }
-    elif emit == "pairs":
-        findings = {
-            "antipodal_pairs": [list(p) for p in table.pairs],
-            "dual_pairs": [
-                {
-                    "letter": chr(ord("a") + index),
-                    "classes": list(pair),
-                    "representatives": [
-                        list(table.class_reps[c]) for c in pair
-                    ],
-                }
-                for index, pair in enumerate(table.dual_pairs)
-            ],
-        }
-    elif emit == "phi":
-        findings = {
-            "transposition_images": [
-                {
-                    "transposition": f"({a},{b})",
-                    "image": _permutation_json(image),
-                }
-                for (a, b), image in sorted(table.transposition_images().items())
-            ],
-            "table": [
-                {
-                    "input": _permutation_json(sigma),
-                    "image": _permutation_json(table.pair_permutation(sigma)),
-                }
-                for sigma in enumerate_sym(6)
-            ],
-        }
-    else:
-        raise ValueError(f"unknown emit target {emit!r}")
-    return _report("icosa", {"emit": emit}, findings, True)
-
-
-def cmd_k6(emit: str) -> dict:
-    if emit == "doily":
-        structure = k6.doily()
-        k6.check_gq_axioms(structure)
-        findings = json.loads(k6.doily_json())
-        findings["axioms"] = "gq(2,2) verified"
-    elif emit == "factors":
-        findings = {
-            "factors": [
-                {
-                    "edges": [list(e) for e in factor],
-                    "involution": k6.factor_to_involution(factor).cycle_string(),
-                    "factorizations": [
-                        k6.factorizations().index(fz)
-                        for fz in k6.factorizations_through(factor)
-                    ],
-                }
-                for factor in k6.factors()
-            ]
-        }
-    elif emit == "factorizations":
-        findings = {
-            "factorizations": [
-                {
-                    "index": index,
-                    "factors": [
-                        k6.factor_to_involution(f).cycle_string() for f in fz
-                    ],
-                }
-                for index, fz in enumerate(k6.factorizations())
-            ]
-        }
-    elif emit == "tutte":
-        graph = k6.tutte_graph()
-        from .graphs import girth, is_bipartite
-
-        parts = is_bipartite(graph)
-        findings = {
-            "vertices": graph.n,
-            "edges": graph.edge_count(),
-            "regular": 3,
-            "girth": girth(graph),
-            "bipartite": parts is not None,
-        }
-    else:
-        raise ValueError(f"unknown emit target {emit!r}")
-    return _report("k6", {"emit": emit}, findings, True)
-
-
-def cmd_verify_all() -> dict:
-    results = verify.run_checks()
-    passed = all(r["passed"] for r in results)
-    findings = {
-        "checks": results,
-        "total": len(results),
-        "failed": sum(1 for r in results if not r["passed"]),
+    model = table.model
+    return {
+        "vertices": list(model.vertices),
+        "antipode": {str(v): model.antipode[v] for v in model.vertices},
+        "faces": sorted(sorted(t) for t in model.faces),
+        "rotations": len(table.rotations),
+        "labelings": len(table.labelings),
+        "classes": [
+            {
+                "index": c,
+                "representative": list(table.class_reps[c]),
+                "orbit_size": 60,
+                "face_triples": sorted(sorted(t) for t in table.face_triples(c)),
+            }
+            for c in range(12)
+        ],
     }
-    return _report("verify-all", {}, findings, passed)
 
 
-def _text_summary(report: dict) -> str:
-    command = report["command"]
-    lines = []
-    if command == "classes":
-        n = report["parameters"]["n"]
-        for row in report["findings"]["rows"]:
-            lines.append(
-                f"degree {n}, j={row['j']}: {row['size']} involutions with "
-                f"{row['fixed_points']} fixed points (enumerated {row['enumerated']})"
-            )
-    elif command == "lemma1":
-        findings = report["findings"]
-        lines.append(
-            f"{findings['count']} maximal independent sets, sizes "
-            f"{findings['sizes']}, all point stars: {findings['all_point_stars']}"
-        )
-    elif command == "lemma2":
-        for row in report["findings"]["rows"]:
-            lines.append(
-                f"n={row['n']} j={row['j']}: spectrum {row['spectrum']} "
-                f"{row['status']}"
-            )
-        lines.append(f"survivors with j > 1: {report['findings']['survivors']}")
-    elif command == "aut":
-        findings = report["findings"]
-        lines.append(
-            f"|Aut| = {findings['aut_order']}, |Inn| = {findings['inner_order']}, "
-            f"|Out| = {findings['out_order']}"
-        )
-        if "involutive_outer" in findings:
-            lines.append(
-                f"involutive outer automorphisms: {findings['involutive_outer']}"
-            )
-    elif command == "icosa":
-        emit = report["parameters"]["emit"]
-        findings = report["findings"]
-        if emit == "labelings":
-            lines.append(
-                f"{findings['labelings']} labelings, {len(findings['classes'])} "
-                f"rotation classes, {findings['rotations']} rotations"
-            )
-        elif emit == "pairs":
-            for pair in findings["dual_pairs"]:
-                lines.append(f"pair {pair['letter']}: classes {pair['classes']}")
-        else:
-            lines.append(f"{len(findings['table'])} induced permutations")
-    elif command == "k6":
-        emit = report["parameters"]["emit"]
-        findings = report["findings"]
-        if emit == "doily":
-            lines.append(
-                f"{len(findings['points'])} points, {len(findings['lines'])} "
-                f"lines, {findings['axioms']}"
-            )
-        elif emit == "factors":
-            lines.append(f"{len(findings['factors'])} one-factors")
-        elif emit == "factorizations":
-            lines.append(f"{len(findings['factorizations'])} one-factorizations")
-        else:
-            lines.append(
-                f"{findings['vertices']} vertices, {findings['edges']} edges, "
-                f"girth {findings['girth']}"
-            )
-    elif command == "verify-all":
-        for result in report["findings"]["checks"]:
-            status = "PASS" if result["passed"] else "FAIL"
-            suffix = ""
-            if not result["passed"]:
-                suffix = f"  ({result['details'].get('error', 'failed')})"
-            lines.append(f"{status} {result['check']}{suffix}")
-        lines.append(
-            f"{report['findings']['total'] - report['findings']['failed']}"
-            f"/{report['findings']['total']} checks passed"
-        )
-    lines.append("PASS" if report["pass"] else "FAIL")
-    return "\n".join(lines) + "\n"
+def _icosa_pairs() -> dict:
+    table = icosahedron.dual_pair_table()
+    return {
+        "antipodal_pairs": [list(p) for p in table.pairs],
+        "dual_pairs": [
+            {
+                "letter": chr(ord("a") + index),
+                "classes": list(pair),
+                "representatives": [list(table.class_reps[c]) for c in pair],
+            }
+            for index, pair in enumerate(table.dual_pairs)
+        ],
+    }
+
+
+def _icosa_phi() -> dict:
+    table = icosahedron.dual_pair_table()
+    return {
+        "transposition_images": [
+            {"transposition": f"({a},{b})", "image": _permutation_json(image)}
+            for (a, b), image in sorted(table.transposition_images().items())
+        ],
+        "table": [
+            {
+                "input": _permutation_json(sigma),
+                "image": _permutation_json(table.pair_permutation(sigma)),
+            }
+            for sigma in enumerate_sym(6)
+        ],
+    }
+
+
+def _k6_doily() -> dict:
+    k6.check_gq_axioms(k6.doily())
+    return {**json.loads(k6.doily_json()), "axioms": "gq(2,2) verified"}
+
+
+def _k6_factors() -> dict:
+    return {
+        "factors": [
+            {
+                "edges": [list(e) for e in factor],
+                "involution": k6.factor_to_involution(factor).cycle_string(),
+                "factorizations": [
+                    k6.factorizations().index(fz)
+                    for fz in k6.factorizations_through(factor)
+                ],
+            }
+            for factor in k6.factors()
+        ]
+    }
+
+
+def _k6_factorizations() -> dict:
+    return {
+        "factorizations": [
+            {
+                "index": index,
+                "factors": [k6.factor_to_involution(f).cycle_string() for f in fz],
+            }
+            for index, fz in enumerate(k6.factorizations())
+        ]
+    }
+
+
+def _k6_tutte() -> dict:
+    graph = k6.tutte_graph()
+    return {
+        "vertices": graph.n,
+        "edges": graph.edge_count(),
+        "regular": 3,
+        "girth": girth(graph),
+        "bipartite": is_bipartite(graph) is not None,
+    }
+
+
+def _verify_all() -> tuple[dict, bool]:
+    results = verify.run_checks()
+    failed = sum(1 for r in results if not r["passed"])
+    return {"checks": results, "total": len(results), "failed": failed}, failed == 0
+
+
+def _classes_text(findings: dict, parameters: dict) -> list[str]:
+    return [
+        f"degree {parameters['n']}, j={row['j']}: {row['size']} involutions with "
+        f"{row['fixed_points']} fixed points (enumerated {row['enumerated']})"
+        for row in findings["rows"]
+    ]
+
+
+def _lemma1_text(findings: dict, parameters: dict) -> list[str]:
+    return [
+        f"{findings['count']} maximal independent sets, sizes "
+        f"{findings['sizes']}, all point stars: {findings['all_point_stars']}"
+    ]
+
+
+def _lemma2_text(findings: dict, parameters: dict) -> list[str]:
+    lines = [
+        f"n={row['n']} j={row['j']}: spectrum {row['spectrum']} {row['status']}"
+        for row in findings["rows"]
+    ]
+    return lines + [f"survivors with j > 1: {findings['survivors']}"]
+
+
+def _aut_text(findings: dict, parameters: dict) -> list[str]:
+    lines = [
+        f"|Aut| = {findings['aut_order']}, |Inn| = {findings['inner_order']}, "
+        f"|Out| = {findings['out_order']}"
+    ]
+    if "involutive_outer" in findings:
+        lines.append(f"involutive outer automorphisms: {findings['involutive_outer']}")
+    return lines
+
+
+def _verify_all_text(findings: dict, parameters: dict) -> list[str]:
+    lines = [
+        f"PASS {r['check']}"
+        if r["passed"]
+        else f"FAIL {r['check']}  ({r['details'].get('error', 'failed')})"
+        for r in findings["checks"]
+    ]
+    passed = findings["total"] - findings["failed"]
+    return lines + [f"{passed}/{findings['total']} checks passed"]
+
+
+# Emit tables: {emit: (build, summarise, DOT renderer or None)}.  Emit
+# builders return findings only; their checks raise IntegrityError.
+ICOSA_EMITS = {
+    "labelings": (
+        _icosa_labelings,
+        lambda f: [
+            f"{f['labelings']} labelings, {len(f['classes'])} rotation classes, "
+            f"{f['rotations']} rotations"
+        ],
+        None,
+    ),
+    "pairs": (
+        _icosa_pairs,
+        lambda f: [
+            f"pair {p['letter']}: classes {p['classes']}" for p in f["dual_pairs"]
+        ],
+        None,
+    ),
+    "phi": (_icosa_phi, lambda f: [f"{len(f['table'])} induced permutations"], None),
+}
+K6_EMITS = {
+    "doily": (
+        _k6_doily,
+        lambda f: [
+            f"{len(f['points'])} points, {len(f['lines'])} lines, {f['axioms']}"
+        ],
+        k6.doily_dot,
+    ),
+    "factors": (_k6_factors, lambda f: [f"{len(f['factors'])} one-factors"], None),
+    "factorizations": (
+        _k6_factorizations,
+        lambda f: [f"{len(f['factorizations'])} one-factorizations"],
+        None,
+    ),
+    "tutte": (
+        _k6_tutte,
+        lambda f: [f"{f['vertices']} vertices, {f['edges']} edges, girth {f['girth']}"],
+        k6.tutte_dot,
+    ),
+}
+
+
+def _dot_emits(emits: dict) -> str:
+    return " and ".join(name for name, (_, _, dot) in emits.items() if dot)
+
+
+# arguments: (flag, add_argument keywords) pairs; emits: the emit table, if any.
+Command = namedtuple("Command", "help arguments build summarise emits", defaults=[None])
+
+
+def _required_int(flag: str, help: str) -> tuple:
+    return flag, {"type": int, "required": True, "help": help}
+
+
+def _by_emit(help: str, emits: dict, *arguments, emit_help=None) -> Command:
+    choice = {"choices": tuple(emits), "required": True, "help": emit_help}
+    return Command(
+        help,
+        (("--emit", choice), *arguments),
+        lambda emit: (emits[emit][0](), True),
+        lambda findings, parameters: emits[parameters["emit"]][1](findings),
+        emits,
+    )
+
+
+COMMANDS = {
+    "classes": Command(
+        "involution class sizes, formula against enumeration",
+        [_required_int("--n", "degree, 2 to 8")], _classes, _classes_text,
+    ),
+    "lemma1": Command(
+        "maximal independent transposition sets are point stars",
+        [_required_int("--n", "degree, 3 to 7")], _lemma1, _lemma1_text,
+    ),
+    "lemma2": Command(
+        "product-order spectra eliminate all classes but one",
+        [_required_int("--n-max", "largest degree surveyed, 4 to 11")],
+        _lemma2, _lemma2_text,
+    ),
+    "aut": Command(
+        "enumerate the automorphism group of Sym_n",
+        [_required_int("--n", "degree, 2 to 6")], _aut, _aut_text,
+    ),
+    "icosa": _by_emit(
+        "labeled icosahedra and the induced letter permutations", ICOSA_EMITS,
+        emit_help="which layer of the construction to report",
+    ),
+    "k6": _by_emit(
+        "edge/factor geometry: doily, factors, factorizations, cage", K6_EMITS,
+        ("--format", {"choices": ("json", "dot", "text"), "default": "text",
+                      "dest": "render",
+                      "help": f"dot is available for {_dot_emits(K6_EMITS)}"}),
+    ),
+    "verify-all": Command(
+        "run every registered check", [], _verify_all, _verify_all_text
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,110 +353,66 @@ def build_parser() -> argparse.ArgumentParser:
         "symmetric group on six points, and the absence of any other",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub):
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        for flag, options in command.arguments:
+            sub.add_argument(flag, **options)
         sub.add_argument(
             "--json", action="store_true", help="emit the full JSON report"
         )
         sub.add_argument("--out", help="write output to this file instead of stdout")
-
-    sub = subparsers.add_parser(
-        "classes", help="involution class sizes, formula against enumeration"
-    )
-    sub.add_argument("--n", type=int, required=True, help="degree, 2 to 8")
-    add_common(sub)
-
-    sub = subparsers.add_parser(
-        "lemma1", help="maximal independent transposition sets are point stars"
-    )
-    sub.add_argument("--n", type=int, required=True, help="degree, 3 to 7")
-    add_common(sub)
-
-    sub = subparsers.add_parser(
-        "lemma2", help="product-order spectra eliminate all classes but one"
-    )
-    sub.add_argument(
-        "--n-max", type=int, required=True, help="largest degree surveyed, 4 to 11"
-    )
-    add_common(sub)
-
-    sub = subparsers.add_parser(
-        "aut", help="enumerate the automorphism group of Sym_n"
-    )
-    sub.add_argument("--n", type=int, required=True, help="degree, 2 to 6")
-    add_common(sub)
-
-    sub = subparsers.add_parser(
-        "icosa", help="labeled icosahedra and the induced letter permutations"
-    )
-    sub.add_argument(
-        "--emit",
-        choices=("labelings", "pairs", "phi"),
-        required=True,
-        help="which layer of the construction to report",
-    )
-    add_common(sub)
-
-    sub = subparsers.add_parser(
-        "k6", help="edge/factor geometry: doily, factors, factorizations, cage"
-    )
-    sub.add_argument(
-        "--emit",
-        choices=("doily", "factors", "factorizations", "tutte"),
-        required=True,
-    )
-    sub.add_argument(
-        "--format",
-        choices=("json", "dot", "text"),
-        default="text",
-        dest="render",
-        help="dot is available for doily and tutte",
-    )
-    add_common(sub)
-
-    sub = subparsers.add_parser("verify-all", help="run every registered check")
-    add_common(sub)
-
     return parser
 
 
 def _render(args, report: dict) -> str:
-    if getattr(args, "render", None) == "dot":
-        if args.command != "k6" or args.emit not in ("doily", "tutte"):
-            raise ValueError("dot output is available for k6 doily and tutte")
-        return k6.doily_dot() if args.emit == "doily" else k6.tutte_dot()
-    if args.json or getattr(args, "render", None) == "json":
+    render = getattr(args, "render", None)
+    if render == "dot":
+        emits = COMMANDS[args.command].emits
+        dot = emits[args.emit][2]
+        if dot is None:
+            raise ValueError(
+                f"dot output is available for {args.command} {_dot_emits(emits)}"
+            )
+        if report["pass"]:  # a failed report is shown as text, not as a graph
+            return dot()
+    if args.json or render == "json":
         return json.dumps(report, indent=2) + "\n"
-    return _text_summary(report)
+    findings = report["findings"]
+    if "error" in findings:
+        lines = [f"error: {findings['error']}"]
+    else:
+        lines = COMMANDS[args.command].summarise(findings, report["parameters"])
+    return "\n".join(lines + ["PASS" if report["pass"] else "FAIL"]) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     started = time.monotonic()
     try:
-        if args.command == "classes":
-            report = cmd_classes(args.n)
-        elif args.command == "lemma1":
-            report = cmd_lemma1(args.n)
-        elif args.command == "lemma2":
-            report = cmd_lemma2(args.n_max)
-        elif args.command == "aut":
-            report = cmd_aut(args.n)
-        elif args.command == "icosa":
-            report = cmd_icosa(args.emit)
-        elif args.command == "k6":
-            report = cmd_k6(args.emit)
-        else:
-            report = cmd_verify_all()
+        try:
+            findings, passed = COMMANDS[args.command].build(**parameters)
+        except IntegrityError as error:
+            findings, passed = {"error": str(error)}, False
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "parameters": parameters,
+            "findings": findings,
+            "pass": passed,
+        }
         payload = _render(args, report)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as error:
+            print(f"error: cannot write --out file: {error}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     print(f"wall time: {elapsed:.3f}s", file=sys.stderr)

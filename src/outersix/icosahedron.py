@@ -114,23 +114,16 @@ def build_model() -> IcosahedronModel:
     return IcosahedronModel()
 
 
-def _oriented_keys(model: IcosahedronModel) -> frozenset:
-    def canonical(face):
-        k = face.index(min(face))
-        return face[k:] + face[:k]
-
-    return frozenset(canonical(f) for f in model.oriented_faces)
+def _canonical(face: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic rotation of an oriented face that starts at its least vertex."""
+    k = face.index(min(face))
+    return face[k:] + face[:k]
 
 
 def preserves_orientation(model: IcosahedronModel, symmetry: Permutation) -> bool:
-    keys = _oriented_keys(model)
-
-    def canonical(face):
-        k = face.index(min(face))
-        return face[k:] + face[:k]
-
+    keys = frozenset(_canonical(f) for f in model.oriented_faces)
     return all(
-        canonical(tuple(symmetry(v) for v in face)) in keys
+        _canonical(tuple(symmetry(v) for v in face)) in keys
         for face in model.oriented_faces
     )
 

@@ -234,47 +234,29 @@ def doily_json() -> str:
     return json.dumps(document, indent=2)
 
 
-def _dot_document(name, white, black, incidence) -> str:
-    lines = [f"graph {name} {{"]
-    lines.append("  node [shape=circle, style=filled];")
-    for node, label in white:
-        lines.append(f'  {node} [fillcolor=white, label="{label}"];')
-    for node, label in black:
-        lines.append(
-            f'  {node} [fillcolor=black, fontcolor=white, label="{label}"];'
-        )
-    for a, b in incidence:
-        lines.append(f"  {a} -- {b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _incidence_dot(name: str, point_prefix: str, line_prefix: str) -> str:
+    """DOT rendering of the doily incidence: edge-side nodes in white,
+    factor-side nodes in black, one DOT edge per incident pair."""
+    point = {e: point_prefix + _edge_name(e) for e in edges()}
+    line = {f: line_prefix + _factor_name(f).replace(".", "_") for f in factors()}
+    rows = [f"graph {name} {{", "  node [shape=circle, style=filled];"]
+    rows += [
+        f'  {point[e]} [fillcolor=white, label="{_edge_name(e)}"];' for e in edges()
+    ]
+    rows += [
+        f'  {line[f]} [fillcolor=black, fontcolor=white, label="{_factor_name(f)}"];'
+        for f in factors()
+    ]
+    rows += [f"  {point[e]} -- {line[f]};" for f in factors() for e in f]
+    return "\n".join(rows + ["}"]) + "\n"
 
 
 def doily_dot() -> str:
     """DOT rendering of the doily incidence: point vertices in white, line
     vertices in black."""
-    white = [(f"p_{_edge_name(e)}", _edge_name(e)) for e in edges()]
-    black = [
-        (f"l_{_factor_name(f).replace('.', '_')}", _factor_name(f))
-        for f in factors()
-    ]
-    incidence = [
-        (f"p_{_edge_name(e)}", f"l_{_factor_name(f).replace('.', '_')}")
-        for f in factors()
-        for e in f
-    ]
-    return _dot_document("doily", white, black, incidence)
+    return _incidence_dot("doily", "p_", "l_")
 
 
 def tutte_dot() -> str:
     """DOT rendering of the 30-vertex incidence graph."""
-    white = [(f"e_{_edge_name(e)}", _edge_name(e)) for e in edges()]
-    black = [
-        (f"f_{_factor_name(f).replace('.', '_')}", _factor_name(f))
-        for f in factors()
-    ]
-    incidence = [
-        (f"e_{_edge_name(e)}", f"f_{_factor_name(f).replace('.', '_')}")
-        for f in factors()
-        for e in f
-    ]
-    return _dot_document("tutte_eight_cage", white, black, incidence)
+    return _incidence_dot("tutte_eight_cage", "e_", "f_")

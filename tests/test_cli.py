@@ -1,11 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from outersix import correspondence, verify
+from outersix import correspondence, involutions, k6, verify
 from outersix.cli import main
+from outersix.errors import IntegrityError
 
 
 def run_cli(capsys, argv):
@@ -180,6 +182,85 @@ def test_json_runs_are_byte_identical(capsys):
     assert first == second
 
 
+# Exit code and SHA-256 of stdout for every subcommand, emit target and
+# format.  The report bytes are the CLI's contract: a refactor must leave
+# them unchanged, and only a deliberate change to a report may re-record a
+# digest here.
+PINNED_REPORTS = [
+    ("classes --n 6 --json", 0,
+     "e976f983dbc5de5f5beb9ae0f704c658ecdfdae4dd33b2c8529e526db8c085f0"),
+    ("lemma1 --n 5 --json", 0,
+     "318e7578427a96bb73fe257e5b1090b8551f6d20399b7d9cff72570dc6ebfc27"),
+    ("lemma2 --n-max 7 --json", 0,
+     "83674a5be4b9931fb815c3f8662f40d6eea3bb87478bda8b37b007ac91251403"),
+    ("aut --n 2 --json", 0,
+     "a4ce2bb3168e05e266f195a2dab1f572c4a624354715115cec174ce078822c5e"),
+    ("aut --n 5 --json", 0,
+     "bda5aef768cb90a30450813ae92b600c07e6bcb78ea2fac0c7a2bdcff119a2bf"),
+    ("aut --n 6 --json", 0,
+     "35265a435d45f7cdc28dd7c644072a3146062ef0d59ef19de13c1366752effff"),
+    ("icosa --emit labelings --json", 0,
+     "adf0c2879e3a1736c9519b16868671d626f879a32a94114c60e422728d3e66d7"),
+    ("icosa --emit pairs --json", 0,
+     "4a817343953c5cb5b632e874519daad9242507fcb605d7d4f14b1cd3858292d7"),
+    ("icosa --emit phi --json", 0,
+     "537120ea500700030afff82f2279cbb079209dfbcc0a0fba0c5937b76e1386d6"),
+    ("k6 --emit doily --json", 0,
+     "201ea4a22ac33615819d129ac2bd91a1eb6dbed63c8de8ca1f72baadec0cd73b"),
+    ("k6 --emit factors --json", 0,
+     "155b44d7182ccd29543b3025eaba0b5a4ef9312c05c430c506702b4782e59f4f"),
+    ("k6 --emit factorizations --json", 0,
+     "54174bba65a72f0feb4dc00def73cae3adb1888a8fc6ff25c693cf0beb7d7ea5"),
+    ("k6 --emit tutte --json", 0,
+     "2c437fc371825c5c5ebac46f2dcb6e14cf2cd53f57e363c1e62de7638b601328"),
+    ("verify-all --json", 0,
+     "e0240c2f18fe6a19b749bf12faefcd1e17c09bc5ac377e7d4e0f7d22cf358ece"),
+    ("classes --n 6", 0,
+     "f356b326ff779783e08b19df416572656c95daa4c424758194141cd7542bbecc"),
+    ("lemma1 --n 5", 0,
+     "373ac801d045964e91ba9a9b30ef359a609e5f1cfc4a253206c5285a223b8725"),
+    ("lemma2 --n-max 7", 0,
+     "ac5cdceb8d6fd8ec0a7778136d1c34fb82835530a10189880bd937ccc8dd645b"),
+    ("aut --n 2", 0,
+     "5a2cd003f706f878af8d042c1bee63c11b027f00dcc7b6e8c21b9b6248c175f7"),
+    ("aut --n 5", 0,
+     "1fdb0806f2813a2ab4af09dc0034b6d6c52f36b3b0ae7f52fac8b134bd8c4064"),
+    ("aut --n 6", 0,
+     "a922ae8a0451e57bf2f624df21e662c5c049e6badc08dc13422736878b441551"),
+    ("icosa --emit labelings", 0,
+     "457bedeccdf8a1f02eb8d1786729da0008ae2a86561f2cd1398fca3c4630ed60"),
+    ("icosa --emit pairs", 0,
+     "101122c043fc9b367de135ae33a391dd3c34984e3f208d99c1a7a5c653391e87"),
+    ("icosa --emit phi", 0,
+     "f6355ae78b6cd2c89cd65480ee2c34d01621538000377284e1ae7b3fb233b1f8"),
+    ("k6 --emit doily", 0,
+     "5e6acec7bfc0653e04fb4c875a403d18dd25323fb3c9c5b1c6f0bff041fcc22b"),
+    ("k6 --emit factors", 0,
+     "70413ff56630099bfcfe2ee9b85911b2926796e12c2a3111b5fd37dfbe64010f"),
+    ("k6 --emit factorizations", 0,
+     "d4064384af765c68dd31167992f48519a6c09f296098b302e5f94edeb8d66603"),
+    ("k6 --emit tutte", 0,
+     "02a922517a749380c4f36601896d653bcb72a09c6e7bba9c3b255f476594ac16"),
+    ("verify-all", 0,
+     "5ebf5f1595c730ab799b3ff6a8a78dcffb9d177380523e523ade5fe6d95ef1bf"),
+    ("k6 --emit doily --format dot", 0,
+     "753f06485497876e8f024300d83a64ad89e062c05aca5eedf6ad002e1162053e"),
+    ("k6 --emit tutte --format dot", 0,
+     "c1d706b022f7edf5fc9bcb7d428e4f3cd86ecb064d39d673850830b11d7be350"),
+    ("k6 --emit factors --format json", 0,
+     "155b44d7182ccd29543b3025eaba0b5a4ef9312c05c430c506702b4782e59f4f"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, digest", PINNED_REPORTS, ids=[row[0] for row in PINNED_REPORTS]
+)
+def test_report_bytes_are_pinned(capsys, command, code, digest):
+    got_code, out, _ = run_cli(capsys, command.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_out_writes_the_payload_to_a_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -188,6 +269,44 @@ def test_out_writes_the_payload_to_a_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["command"] == "classes"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["classes", "--n", "4", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_integrity_error_is_a_failed_report(capsys, monkeypatch):
+    def broken(n_max):
+        raise IntegrityError("planted survey fault")
+
+    monkeypatch.setattr(involutions, "lemma2_survey", broken)
+    code, report, _ = run_json(capsys, ["lemma2", "--n-max", "5"])
+    assert code == 1
+    assert report == {
+        "schema": "outersix/1",
+        "command": "lemma2",
+        "parameters": {"n_max": 5},
+        "findings": {"error": "planted survey fault"},
+        "pass": False,
+    }
+    code, out, _ = run_cli(capsys, ["lemma2", "--n-max", "5"])
+    assert code == 1
+    assert out == "error: planted survey fault\nFAIL\n"
+
+
+def test_integrity_error_replaces_dot_output(capsys, monkeypatch):
+    def broken():
+        raise IntegrityError("planted doily fault")
+
+    monkeypatch.setattr(k6, "doily", broken)
+    code, out, _ = run_cli(capsys, ["k6", "--emit", "doily", "--format", "dot"])
+    assert code == 1
+    assert out == "error: planted doily fault\nFAIL\n"
 
 
 def test_verify_all_passes(capsys):
