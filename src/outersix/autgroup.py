@@ -1,22 +1,25 @@
 """Exhaustive enumeration of Aut(Sym_n) for 3 <= n <= 6.
 
 Sym_n is generated by x = (1,2) and y = (1,2,...,n), so an automorphism is
-pinned down by the images of x and y.  Candidate image pairs (an involution
-for x, an order-n element for y) are validated by walking a breadth-first
-spanning tree of the Cayley graph on {x, y}: the walk fills the full image
-table and checks every edge (g, g*s) along the way, so a conflict-free pass
-certifies the homomorphism property exactly, by induction on word length.
-No sampling, no reliance on pruning heuristics: the one shortcut applied
+pinned down by the images of x and y.  The heavy work runs on sym(n), one
+indexed kernel: elements, Cayley table, inverses and orders as integers.
+extend(n, x', y') walks a breadth-first spanning tree of the Cayley graph
+on {x, y}: it fills the full image table and checks every edge (g, g*s)
+along the way, so a conflict-free pass onto a bijection certifies the
+homomorphism property exactly, by induction on word length.  The search
+feeds it every candidate pair (an involution for x, an order-n element for
+y), and the cage transport the pair a graph automorphism induces.  No
+sampling, no reliance on pruning heuristics: the one shortcut applied
 before the walk, requiring order(x'*y') == order(x*y), is a necessary
 condition for any automorphism, so nothing valid is skipped.
 
-Automorphisms are stored as full image tables over the lexicographically
-ordered element list, which makes composition, comparison and coset
-bookkeeping plain tuple arithmetic.
+Automorphisms are stored as full image tables over the element list, which
+makes composition, comparison and coset bookkeeping plain tuple arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import IntegrityError
@@ -29,28 +32,39 @@ MAX_SEARCH_DEGREE = 6
 @lru_cache(maxsize=None)
 def group_elements(n: int) -> tuple[Permutation, ...]:
     """All of Sym_n in lexicographic order of image tuples."""
-    if not 1 <= n <= MAX_SEARCH_DEGREE + 1:
-        raise ValueError(f"group tables supported for n <= {MAX_SEARCH_DEGREE + 1}")
+    if not 1 <= n <= MAX_SEARCH_DEGREE:
+        raise ValueError(f"group tables supported for n <= {MAX_SEARCH_DEGREE}")
     return tuple(enumerate_sym(n))
 
 
+# The indexed kernel of Sym_n: mul[p][q] is the index of p*q (q applied
+# first), and x and y are the indices of (1,2) and (1,2,...,n).
+Sym = namedtuple("Sym", "elements index mul inverse order identity x y")
+
+
 @lru_cache(maxsize=None)
-def _context(n: int):
-    """Element list, index map, Cayley table, inverses and orders."""
+def sym(n: int) -> Sym:
+    """The indexed kernel of Sym_n, built once per degree."""
     elements = group_elements(n)
     index = {p.images: k for k, p in enumerate(elements)}
-    cayley = [
-        [index[tuple(p.images[v - 1] for v in q.images)] for q in elements]
+    mul = tuple(
+        tuple([index[tuple([p.images[v - 1] for v in q.images])] for q in elements])
         for p in elements
-    ]
-    inverse = [index[p.inverse().images] for p in elements]
-    orders = [p.order() for p in elements]
-    return elements, index, cayley, inverse, orders
+    )
+    return Sym(
+        elements=elements,
+        index=index,
+        mul=mul,
+        inverse=tuple(index[p.inverse().images] for p in elements),
+        order=tuple(p.order() for p in elements),
+        identity=index[Permutation.identity(n).images],
+        x=index[Permutation.transposition(n, 1, 2).images],
+        y=index[Permutation.full_cycle(n).images],
+    )
 
 
 def element_index(n: int, p: Permutation) -> int:
-    _, index, _, _, _ = _context(n)
-    return index[p.images]
+    return sym(n).index[p.images]
 
 
 class AutomorphismTable:
@@ -69,16 +83,16 @@ class AutomorphismTable:
     @classmethod
     def from_mapping(cls, n: int, mapping) -> "AutomorphismTable":
         """Build a table from a Permutation -> Permutation callable."""
-        elements, index, _, _, _ = _context(n)
-        return cls(n, tuple(index[mapping(p).images] for p in elements))
+        s = sym(n)
+        return cls(n, tuple(s.index[mapping(p).images] for p in s.elements))
 
     @classmethod
     def identity(cls, n: int) -> "AutomorphismTable":
         return cls(n, range(len(group_elements(n))))
 
     def apply(self, p: Permutation) -> Permutation:
-        elements, index, _, _, _ = _context(self.n)
-        return elements[self.images[index[p.images]]]
+        s = sym(self.n)
+        return s.elements[self.images[s.index[p.images]]]
 
     def compose(self, other: "AutomorphismTable") -> "AutomorphismTable":
         """self after other."""
@@ -106,19 +120,18 @@ class AutomorphismTable:
 
     def is_homomorphism(self) -> bool:
         """Exact check on every pair (g, s) with s a generator."""
-        _, index, cayley, _, _ = _context(self.n)
-        images = self.images
-        for s in _generator_indices(self.n):
-            s_image = images[s]
+        s = sym(self.n)
+        mul, images = s.mul, self.images
+        for gen in (s.x, s.y):
+            gen_image = images[gen]
             for g in range(len(images)):
-                if images[cayley[g][s]] != cayley[images[g]][s_image]:
+                if images[mul[g][gen]] != mul[images[g]][gen_image]:
                     return False
         return True
 
     def generator_images(self) -> tuple[Permutation, Permutation]:
-        x = Permutation.transposition(self.n, 1, 2)
-        y = Permutation.full_cycle(self.n)
-        return (self.apply(x), self.apply(y))
+        s = sym(self.n)
+        return (s.elements[self.images[s.x]], s.elements[self.images[s.y]])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -138,35 +151,43 @@ class AutomorphismTable:
         return f"<Aut(Sym_{self.n}) (1,2)->{x_img} (1,..,{self.n})->{y_img}>"
 
 
-def _generator_indices(n: int) -> tuple[int, int]:
-    _, index, _, _, _ = _context(n)
-    return (
-        index[Permutation.transposition(n, 1, 2).images],
-        index[Permutation.full_cycle(n).images],
-    )
-
-
 @lru_cache(maxsize=None)
 def _spanning_order(n: int) -> tuple[int, ...]:
     """Element indices in breadth-first order from the identity along the
     generator edges g -> g*x, g -> g*y."""
-    elements, index, cayley, _, _ = _context(n)
-    xi, yi = _generator_indices(n)
-    start = index[Permutation.identity(n).images]
-    order = [start]
-    seen = {start}
-    head = 0
-    while head < len(order):
-        g = order[head]
-        head += 1
-        for s in (xi, yi):
-            h = cayley[g][s]
+    s = sym(n)
+    order = [s.identity]
+    seen = {s.identity}
+    for g in order:  # visits the elements appended below as well
+        for gen in (s.x, s.y):
+            h = s.mul[g][gen]
             if h not in seen:
                 seen.add(h)
                 order.append(h)
-    if len(order) != len(elements):
+    if len(order) != len(s.elements):
         raise IntegrityError("generators fail to generate the group")
     return tuple(order)
+
+
+def extend(n: int, x_image: int, y_image: int) -> AutomorphismTable | None:
+    """The automorphism of Sym_n sending x and y to the given element
+    indices, or None when no automorphism does."""
+    s = sym(n)
+    mul = s.mul
+    images = [-1] * len(s.elements)
+    images[s.identity] = s.identity
+    for g in _spanning_order(n):
+        g_image = images[g]
+        for gen, gen_image in ((s.x, x_image), (s.y, y_image)):
+            h = mul[g][gen]
+            expected = mul[g_image][gen_image]
+            if images[h] < 0:
+                images[h] = expected
+            elif images[h] != expected:
+                return None
+    if len(set(images)) != len(images):
+        return None
+    return AutomorphismTable(n, images)
 
 
 @lru_cache(maxsize=None)
@@ -177,38 +198,19 @@ def enumerate_automorphisms(n: int) -> tuple[AutomorphismTable, ...]:
             f"search supported for {MIN_SEARCH_DEGREE} <= n <= "
             f"{MAX_SEARCH_DEGREE}, got {n}"
         )
-    elements, index, cayley, _, orders = _context(n)
-    size = len(elements)
-    xi, yi = _generator_indices(n)
-    walk = _spanning_order(n)
-    start = index[Permutation.identity(n).images]
-    target_order = orders[cayley[xi][yi]]
-
-    x_candidates = [k for k in range(size) if orders[k] == 2]
-    y_candidates = [k for k in range(size) if orders[k] == n]
+    s = sym(n)
+    target_order = s.order[s.mul[s.x][s.y]]
+    x_candidates = [k for k, o in enumerate(s.order) if o == 2]
+    y_candidates = [k for k, o in enumerate(s.order) if o == n]
 
     tables = []
     for xc in x_candidates:
         for yc in y_candidates:
-            if orders[cayley[xc][yc]] != target_order:
+            if s.order[s.mul[xc][yc]] != target_order:
                 continue
-            images = [-1] * size
-            images[start] = start
-            ok = True
-            for g in walk:
-                g_image = images[g]
-                for s, s_image in ((xi, xc), (yi, yc)):
-                    h = cayley[g][s]
-                    expected = cayley[g_image][s_image]
-                    if images[h] < 0:
-                        images[h] = expected
-                    elif images[h] != expected:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and len(set(images)) == size:
-                tables.append(AutomorphismTable(n, images))
+            table = extend(n, xc, yc)
+            if table is not None:
+                tables.append(table)
     tables.sort()
     if len(set(tables)) != len(tables):
         raise IntegrityError("duplicate automorphisms from distinct candidates")
@@ -217,37 +219,39 @@ def enumerate_automorphisms(n: int) -> tuple[AutomorphismTable, ...]:
 
 def conjugation_table(n: int, g: Permutation) -> AutomorphismTable:
     """The inner automorphism p -> g * p * g**-1."""
-    _, index, cayley, inverse, _ = _context(n)
-    gi = index[g.images]
-    g_inv = inverse[gi]
-    images = [cayley[cayley[gi][p]][g_inv] for p in range(len(cayley))]
-    return AutomorphismTable(n, images)
+    s = sym(n)
+    gi = s.index[g.images]
+    g_inv = s.inverse[gi]
+    row = s.mul[gi]
+    return AutomorphismTable(n, [s.mul[row[p]][g_inv] for p in range(len(row))])
+
+
+@lru_cache(maxsize=None)
+def _conjugators(n: int) -> dict[tuple[int, int], int]:
+    """(g*x*g**-1, g*y*g**-1) -> g, keeping the first g in element order."""
+    s = sym(n)
+    mul, inverse = s.mul, s.inverse
+    return {  # built from the last g down, so the first g wins a shared key
+        (mul[mul[g][s.x]][inverse[g]], mul[mul[g][s.y]][inverse[g]]): g
+        for g in reversed(range(len(mul)))
+    }
 
 
 def inner_witness(table: AutomorphismTable) -> Permutation | None:
     """Some g whose conjugation equals the table, or None when outer.
 
-    Scans all n! candidates; a candidate matching on both generator images
-    is verified against the full table before it is returned.
+    g is looked up by the generator images, then checked on the full table.
     """
-    n = table.n
-    elements, index, cayley, inverse, _ = _context(n)
-    xi, yi = _generator_indices(n)
-    x_image, y_image = table.images[xi], table.images[yi]
-    for gi in range(len(elements)):
-        row = cayley[gi]
-        g_inv = inverse[gi]
-        if cayley[row[xi]][g_inv] != x_image:
-            continue
-        if cayley[row[yi]][g_inv] != y_image:
-            continue
-        g = elements[gi]
-        if conjugation_table(n, g) != table:
-            raise IntegrityError(
-                "generator images match a conjugation but the tables differ"
-            )
-        return g
-    return None
+    s = sym(table.n)
+    gi = _conjugators(table.n).get((table.images[s.x], table.images[s.y]))
+    if gi is None:
+        return None
+    g = s.elements[gi]
+    if conjugation_table(table.n, g) != table:
+        raise IntegrityError(
+            "generator images match a conjugation but the tables differ"
+        )
+    return g
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter, namedtuple
@@ -155,7 +156,7 @@ def _icosa_phi() -> dict:
 
 def _k6_doily() -> dict:
     k6.check_gq_axioms(k6.doily())
-    return {**json.loads(k6.doily_json()), "axioms": "gq(2,2) verified"}
+    return {**k6.doily_document(), "axioms": "gq(2,2) verified"}
 
 
 def _k6_factors() -> dict:
@@ -364,17 +365,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(args, report: dict) -> str:
-    render = getattr(args, "render", None)
-    if render == "dot":
+def _check_usage(args) -> None:
+    """Raise ValueError for an invocation that cannot succeed, before
+    anything is computed; judging --out creates no file."""
+    if getattr(args, "render", None) == "dot":
         emits = COMMANDS[args.command].emits
-        dot = emits[args.emit][2]
-        if dot is None:
+        if emits[args.emit][2] is None:
             raise ValueError(
                 f"dot output is available for {args.command} {_dot_emits(emits)}"
             )
-        if report["pass"]:  # a failed report is shown as text, not as a graph
-            return dot()
+    if args.out:
+        exists = os.path.exists(args.out)
+        target = args.out if exists else os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not os.access(target, os.W_OK):
+            raise ValueError(f"cannot write --out file: {args.out}")
+
+
+def _render(args, report: dict) -> str:
+    render = getattr(args, "render", None)
+    if render == "dot" and report["pass"]:  # a failed report is shown as text
+        return COMMANDS[args.command].emits[args.emit][2]()
     if args.json or render == "json":
         return json.dumps(report, indent=2) + "\n"
     findings = report["findings"]
@@ -390,21 +400,21 @@ def main(argv=None) -> int:
     parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     started = time.monotonic()
     try:
-        try:
-            findings, passed = COMMANDS[args.command].build(**parameters)
-        except IntegrityError as error:
-            findings, passed = {"error": str(error)}, False
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "parameters": parameters,
-            "findings": findings,
-            "pass": passed,
-        }
-        payload = _render(args, report)
+        _check_usage(args)
+        findings, passed = COMMANDS[args.command].build(**parameters)
+    except IntegrityError as error:
+        findings, passed = {"error": str(error)}, False
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    report = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "parameters": parameters,
+        "findings": findings,
+        "pass": passed,
+    }
+    payload = _render(args, report)
     elapsed = time.monotonic() - started
     if args.out:
         try:

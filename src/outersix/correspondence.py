@@ -1,35 +1,25 @@
 """Transport between cage graph automorphisms and Sym_6 automorphisms.
 
-A vertex bijection of the 30-vertex edge/factor incidence graph either
-keeps the two parts or exchanges them.  Reading off what it does to the 15
-edge vertices gives a map on transpositions (to transpositions when parts
-are kept, to triple involutions when they are swapped), and multiplying
-out transposition decompositions extends that map to all 720 elements.
-The extension is checked to be a bijective homomorphism, and the factor
-side of the graph map is checked to agree with it, so each of the 1440
-graph automorphisms yields one well-defined automorphism of Sym_6.
-
-The extension folds element indices through the cached Cayley table; the
-decomposition of each group element into transpositions is fixed once,
-with each cycle (c1,...,ck) spelled (c1,c2)*(c2,c3)*...*(c_{k-1},c_k)
-under right-factor-first composition.
+Each vertex of the 30-vertex edge/factor incidence graph stands for one
+element of Sym_6: an edge vertex for its transposition, a factor vertex for
+its triple involution.  A vertex bijection either keeps the two parts or
+exchanges them.  The images of the edge vertices (1,2), (2,3), (3,4),
+(4,5), (5,6) give the images of the generators x = (1,2) and
+y = (1,2)*(2,3)*(3,4)*(4,5)*(5,6) = (1,2,...,6), and autgroup.extend turns
+that pair into a certified automorphism table.  The table is then checked
+to be a homomorphism and to agree with the graph map on every vertex of
+both parts, so each of the 1440 graph automorphisms yields one
+well-defined automorphism of Sym_6.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .autgroup import AutomorphismTable, _context, element_index
+from .autgroup import AutomorphismTable, extend, sym
 from .errors import IntegrityError
 from .graphs import Graph, automorphism_group, preserves_classes
-from .k6 import (
-    edge_to_transposition,
-    factor_to_involution,
-    involution_to_factor,
-    transposition_to_edge,
-    tutte_graph,
-    tutte_parts,
-)
+from .k6 import edge_to_transposition, factor_to_involution, tutte_graph, tutte_parts
 from .perms import Permutation
 
 
@@ -55,30 +45,28 @@ def involutive_swaps_count() -> int:
     )
 
 
-def transposition_factors(p: Permutation) -> list[Permutation]:
-    """A decomposition of p into transpositions, rightmost applied first."""
-    factors = []
-    for cycle in p.cycles():
-        for a, b in zip(cycle, cycle[1:]):
-            factors.append(Permutation.transposition(p.degree, a, b))
-    return factors
+# y = (1,2,...,6) = (1,2)*(2,3)*(3,4)*(4,5)*(5,6), the right factor first.
+_Y_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+
+
+def _fold(word) -> int:
+    """The index of the product of a word of Sym_6 element indices."""
+    s = sym(6)
+    product = s.identity
+    for k in word:
+        product = s.mul[product][k]
+    return product
 
 
 @lru_cache(maxsize=None)
-def _decompositions() -> tuple[tuple[int, ...], ...]:
-    """Element-index transposition words for every element of Sym_6."""
-    elements, _, cayley, _, _ = _context(6)
-    identity_index = element_index(6, Permutation.identity(6))
-    words = []
-    for k, p in enumerate(elements):
-        word = tuple(element_index(6, t) for t in transposition_factors(p))
-        folded = identity_index
-        for t in word:
-            folded = cayley[folded][t]
-        if folded != k:
-            raise IntegrityError(f"decomposition of {p} multiplies out wrong")
-        words.append(word)
-    return tuple(words)
+def _vertex_elements() -> dict:
+    """The Sym_6 element index of each cage vertex."""
+    s = sym(6)
+    element = {"e": edge_to_transposition, "f": factor_to_involution}
+    indices = {v: s.index[element[v[0]](v[1]).images] for v in tutte_graph().vertices}
+    if _fold([indices[("e", edge)] for edge in _Y_EDGES]) != s.y:
+        raise IntegrityError("the edge word for (1,2,...,6) multiplies out wrong")
+    return indices
 
 
 def graph_aut_to_group_aut(
@@ -86,49 +74,22 @@ def graph_aut_to_group_aut(
 ) -> AutomorphismTable:
     """The Sym_6 automorphism induced by a cage graph automorphism."""
     vertex_map = graph.vertex_map(automorphism)
-    _, _, cayley, _, _ = _context(6)
-
-    edge_images = {
-        payload: image
-        for (kind, payload), image in vertex_map.items()
-        if kind == "e"
-    }
-    image_kinds = {image[0] for image in edge_images.values()}
+    element = _vertex_elements()
+    image_kinds = {w[0] for v, w in vertex_map.items() if v[0] == "e"}
     if len(image_kinds) != 1:
         raise IntegrityError("edge vertices map to a mix of both parts")
-    swapping = image_kinds.pop() == "f"
-
-    transposition_image_index = {}
-    for edge, (_, payload) in edge_images.items():
-        source = element_index(6, edge_to_transposition(edge))
-        if swapping:
-            image = factor_to_involution(payload)
-        else:
-            image = edge_to_transposition(payload)
-        transposition_image_index[source] = element_index(6, image)
-
-    identity_index = element_index(6, Permutation.identity(6))
-    images = []
-    for word in _decompositions():
-        folded = identity_index
-        for t in word:
-            folded = cayley[folded][transposition_image_index[t]]
-        images.append(folded)
-
-    table = AutomorphismTable(6, images)
-    if not table.is_homomorphism():
-        raise IntegrityError("transposition map fails to extend to the group")
-    # The factor side of the graph map must tell the same story.
-    for (kind, payload), (image_kind, image_payload) in vertex_map.items():
-        if kind != "f":
-            continue
-        image = table.apply(factor_to_involution(payload))
-        if swapping:
-            if image_kind != "e" or image != edge_to_transposition(image_payload):
-                raise IntegrityError("factor vertices disagree with the extension")
-        else:
-            if image_kind != "f" or involution_to_factor(image) != image_payload:
-                raise IntegrityError("factor vertices disagree with the extension")
+    x_image = element[vertex_map[("e", (1, 2))]]
+    y_image = _fold([element[vertex_map[("e", edge)]] for edge in _Y_EDGES])
+    table = extend(6, x_image, y_image)
+    if table is None or not table.is_homomorphism():
+        raise IntegrityError("generator images fail to extend to the group")
+    # Every vertex of both parts must tell the same story as the table.
+    factor_image_kind = "e" if image_kinds == {"f"} else "f"
+    for v, w in vertex_map.items():
+        if v[0] == "f" and w[0] != factor_image_kind:
+            raise IntegrityError("factor vertices land in the wrong part")
+        if table.images[element[v]] != element[w]:
+            raise IntegrityError("cage vertices disagree with the extension")
     return table
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .autgroup import AutomorphismTable
+from .autgroup import AutomorphismTable, conjugation_table
 from .errors import IntegrityError
 from .graphs import Graph, automorphism_group
 from .perms import Permutation, enumerate_sym
@@ -377,9 +377,11 @@ class DualPairTable:
         )
 
     def all_outer_automorphisms(self) -> frozenset[AutomorphismTable]:
-        """One automorphism per identification of letters with points."""
+        """One automorphism per identification of letters with points: the
+        one through ident is conjugation by ident after the identity one."""
+        base = self.outer_from_identification(Permutation.identity(6))
         return frozenset(
-            self.outer_from_identification(ident) for ident in enumerate_sym(6)
+            conjugation_table(6, ident).compose(base) for ident in enumerate_sym(6)
         )
 
 

@@ -18,6 +18,8 @@ with j > 1 anywhere in range is j = 3 in degree 6.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import IntegrityError
 from .perms import Permutation, involution_class
@@ -120,8 +122,9 @@ def maximal_independent_sets(n: int) -> frozenset[frozenset[Permutation]]:
     return result
 
 
-def product_order_spectrum(n: int, j: int) -> frozenset[int]:
-    """Orders realized by products of two members of the class C_j.
+@lru_cache(maxsize=None)
+def _product_orders(n: int, j: int) -> tuple[Permutation, MappingProxyType]:
+    """The first member x0 of C_j and {order(x0*y): first such y in C_j}.
 
     Only one factor needs to range over the whole class: conjugating a pair
     (x, y) by any g keeps order(x*y) and keeps both factors in C_j, and
@@ -135,23 +138,24 @@ def product_order_spectrum(n: int, j: int) -> frozenset[int]:
         )
     members = involution_class(n, j)
     x0 = members[0]
-    return frozenset((x0 * y).order() for y in members)
+    first: dict[int, Permutation] = {}
+    for y in members:
+        first.setdefault((x0 * y).order(), y)
+    return x0, MappingProxyType(first)
+
+
+def product_order_spectrum(n: int, j: int) -> frozenset[int]:
+    """Orders realized by products of two members of the class C_j."""
+    return frozenset(_product_orders(n, j)[1])
 
 
 def exists_product_of_order(
     n: int, j: int, target: int
 ) -> tuple[Permutation, Permutation] | None:
     """A pair (x, y) from C_j with order(x*y) == target, or None."""
-    if n > MAX_SPECTRUM_DEGREE:
-        raise ValueError(
-            f"spectrum sweep supported for n <= {MAX_SPECTRUM_DEGREE}, got {n}"
-        )
-    members = involution_class(n, j)
-    x0 = members[0]
-    for y in members:
-        if (x0 * y).order() == target:
-            return (x0, y)
-    return None
+    x0, first = _product_orders(n, j)
+    y = first.get(target)
+    return None if y is None else (x0, y)
 
 
 def lemma2_survey(n_max: int) -> list[dict]:

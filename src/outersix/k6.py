@@ -223,15 +223,19 @@ def _factor_name(factor: Factor) -> str:
     return ".".join(_edge_name(e) for e in factor)
 
 
-def doily_json() -> str:
-    document = {
+def doily_document() -> dict:
+    """The doily's points, lines and incident pairs, named by edge labels."""
+    return {
         "points": [_edge_name(e) for e in edges()],
         "lines": [[_edge_name(e) for e in f] for f in factors()],
         "incidence": [
             [_edge_name(e), _factor_name(f)] for f in factors() for e in f
         ],
     }
-    return json.dumps(document, indent=2)
+
+
+def doily_json() -> str:
+    return json.dumps(doily_document(), indent=2)
 
 
 def _incidence_dot(name: str, point_prefix: str, line_prefix: str) -> str:

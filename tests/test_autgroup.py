@@ -11,13 +11,16 @@ from outersix.autgroup import (
     class_image,
     conjugation_table,
     enumerate_automorphisms,
+    extend,
     group_elements,
     inner_and_outer,
     inner_order,
     inner_witness,
     involutive_outer_count,
     out_order,
+    sym,
 )
+from outersix.errors import IntegrityError
 from outersix.perms import Permutation, involution_class
 
 
@@ -89,6 +92,22 @@ def test_search_guards():
         enumerate_automorphisms(2)
     with pytest.raises(ValueError):
         enumerate_automorphisms(7)
+    with pytest.raises(ValueError):
+        group_elements(7)
+    with pytest.raises(ValueError):
+        sym(7)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_extend_rebuilds_conjugations_and_rejects_the_rest(n):
+    s = sym(n)
+    y_squared = s.mul[s.y][s.y]
+    assert extend(n, s.x, y_squared) is None
+    assert extend(n, s.identity, s.identity) is None
+    rng = random.Random(n)
+    for g in rng.sample(s.elements, min(40, len(s.elements))):
+        table = conjugation_table(n, g)
+        assert extend(n, table.images[s.x], table.images[s.y]) == table
 
 
 def test_degree_six_counts():
@@ -123,6 +142,16 @@ def test_inner_witness_conjugates_correctly():
         w = inner_witness(table)
         assert w is not None
         assert conjugation_table(6, w) == table
+
+
+def test_inner_witness_rejects_a_table_that_differs_off_the_generators():
+    s = sym(6)
+    g = Permutation.from_cycles(6, [(1, 3, 5), (2, 6)])
+    images = list(conjugation_table(6, g).images)
+    a, b = sorted(set(range(len(images))) - {s.x, s.y})[:2]
+    images[a], images[b] = images[b], images[a]
+    with pytest.raises(IntegrityError):
+        inner_witness(AutomorphismTable(6, images))
 
 
 def test_outer_has_no_witness():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from outersix import correspondence, involutions, k6, verify
+from outersix import cli, correspondence, involutions, k6, verify
 from outersix.cli import main
 from outersix.errors import IntegrityError
 
@@ -278,6 +278,31 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_usage_errors_are_caught_before_the_builder(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the builder ran despite a usage error")
+
+    lemma2 = cli.COMMANDS["lemma2"]
+    monkeypatch.setitem(cli.COMMANDS, "lemma2", lemma2._replace(build=never))
+    missing = tmp_path / "missing" / "x.json"
+    argv = ["lemma2", "--n-max", "11", "--out", str(missing)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --out file")
+    assert len(err.splitlines()) == 1
+    code, _, err = run_cli(capsys, ["lemma2", "--n-max", "11", "--out", str(tmp_path)])
+    assert code == 2 and err.startswith("error: cannot write --out file")
+
+    factors = cli.K6_EMITS["factors"]
+    monkeypatch.setitem(cli.K6_EMITS, "factors", (never, *factors[1:]))
+    target = tmp_path / "factors.dot"
+    argv = ["k6", "--emit", "factors", "--format", "dot", "--out", str(target)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "dot output is available for k6 doily and tutte" in err
+    assert not target.exists()
 
 
 def test_integrity_error_is_a_failed_report(capsys, monkeypatch):

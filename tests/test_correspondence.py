@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from outersix.autgroup import (
     enumerate_automorphisms,
     inner_and_outer,
@@ -12,10 +14,10 @@ from outersix.correspondence import (
     graph_aut_to_group_aut,
     involutive_swaps_count,
     swaps_parts,
-    transposition_factors,
 )
+from outersix.errors import IntegrityError
 from outersix.k6 import tutte_graph
-from outersix.perms import Permutation, enumerate_sym, parse_cycles
+from outersix.perms import Permutation
 
 
 def test_cage_automorphism_count():
@@ -26,25 +28,6 @@ def test_identity_maps_to_identity():
     graph = tutte_graph()
     identity = next(a for a in cage_automorphisms() if a.is_identity())
     assert graph_aut_to_group_aut(graph, identity).is_identity()
-
-
-def test_transposition_factors_rebuild_the_permutation():
-    rng = random.Random(0xDEC0)
-    pool = list(enumerate_sym(5))
-    for p in rng.sample(pool, 30):
-        factors = transposition_factors(p)
-        product = Permutation.identity(5)
-        for factor in factors:
-            assert factor.cycle_type() == (2, 1, 1, 1)
-            product = product * factor
-        assert product == p
-    assert transposition_factors(Permutation.identity(5)) == []
-
-
-def test_transposition_factors_frozen_example():
-    p = parse_cycles("(1,2,3)", 4)
-    factors = transposition_factors(p)
-    assert [f.cycle_string() for f in factors] == ["(1,2)", "(2,3)"]
 
 
 def test_correspondence_is_a_bijection_onto_aut():
@@ -96,7 +79,11 @@ def test_correspondence_respects_inverse():
         assert by_graph_aut[cage_aut.inverse()] == table.inverse()
 
 
-def test_transposition_factor_count_is_degree_minus_cycle_count():
-    for p in enumerate_sym(5):
-        cycles = p.cycles(include_fixed=True)
-        assert len(transposition_factors(p)) == 5 - len(cycles)
+
+def test_swapping_two_edge_vertices_is_an_integrity_error():
+    graph = tutte_graph()
+    images = list(range(1, graph.n + 1))
+    a, b = graph.index(("e", (1, 2))), graph.index(("e", (3, 4)))
+    images[a], images[b] = images[b], images[a]
+    with pytest.raises(IntegrityError):
+        graph_aut_to_group_aut(graph, Permutation(images))

@@ -15,6 +15,7 @@ from outersix.k6 import (
     check_gq_axioms,
     doily,
     doily_dot,
+    doily_document,
     doily_json,
     edge_to_transposition,
     edges,
@@ -200,6 +201,7 @@ def test_doily_json_document():
     assert len(document["lines"]) == 15
     assert all(len(line) == 3 for line in document["lines"])
     assert len(document["incidence"]) == 45
+    assert document == doily_document()
     # Deterministic output.
     assert doily_json() == doily_json()
 
