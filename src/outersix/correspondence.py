@@ -2,14 +2,16 @@
 
 Each vertex of the 30-vertex edge/factor incidence graph stands for one
 element of Sym_6: an edge vertex for its transposition, a factor vertex for
-its triple involution.  A vertex bijection either keeps the two parts or
-exchanges them.  The images of the edge vertices (1,2), (2,3), (3,4),
-(4,5), (5,6) give the images of the generators x = (1,2) and
-y = (1,2)*(2,3)*(3,4)*(4,5)*(5,6) = (1,2,...,6), and autgroup.extend turns
-that pair into a certified automorphism table.  The table is then checked
-to be a homomorphism and to agree with the graph map on every vertex of
-both parts, so each of the 1440 graph automorphisms yields one
-well-defined automorphism of Sym_6.
+its triple involution.  The graph engine searches with no coloring, so the
+parts are free to swap; _sends_edges_to_factors is the one place that reads
+whether a vertex map keeps the two parts or exchanges them, and it refuses
+a map that sends either part into both.  The images of the edge vertices
+(1,2), (2,3), (3,4), (4,5), (5,6) give the images of the generators
+x = (1,2) and y = (1,2)*(2,3)*(3,4)*(4,5)*(5,6) = (1,2,...,6), and
+autgroup.extend turns that pair into a certified automorphism table.  The
+table is then checked to be a homomorphism and to agree with the graph map
+on every vertex of both parts, so each of the 1440 graph automorphisms
+yields one well-defined automorphism of Sym_6.
 """
 
 from __future__ import annotations
@@ -18,24 +20,34 @@ from functools import lru_cache
 
 from .autgroup import AutomorphismTable, extend, sym
 from .errors import IntegrityError
-from .graphs import Graph, automorphism_group, preserves_classes
-from .k6 import edge_to_transposition, factor_to_involution, tutte_graph, tutte_parts
+from .graphs import Graph, automorphism_group
+from .k6 import edge_to_transposition, factor_to_involution, tutte_graph
 from .perms import Permutation
 
 
 @lru_cache(maxsize=None)
 def cage_automorphisms() -> tuple[Permutation, ...]:
     """All 1440 automorphisms of the incidence graph, parts free to swap."""
-    graph = tutte_graph()
-    found = automorphism_group(graph, tutte_parts(graph), mode="allow-swap")
+    found = automorphism_group(tutte_graph())
     if len(found) != 1440:
         raise IntegrityError(f"expected 1440 cage automorphisms, found {len(found)}")
     return found
 
 
+def _sends_edges_to_factors(vertex_map: dict) -> bool:
+    """Whether a cage vertex map sends the edge part onto the factor part.
+
+    Raises IntegrityError when either part lands in both parts."""
+    action = {}
+    for v, w in vertex_map.items():
+        if action.setdefault(v[0], w[0]) != w[0]:
+            part = "edge" if v[0] == "e" else "factor"
+            raise IntegrityError(f"{part} vertices map to a mix of both parts")
+    return action["e"] == "f"
+
+
 def swaps_parts(automorphism: Permutation) -> bool:
-    graph = tutte_graph()
-    return not preserves_classes(graph, automorphism, tutte_parts(graph))
+    return _sends_edges_to_factors(tutte_graph().vertex_map(automorphism))
 
 
 def involutive_swaps_count() -> int:
@@ -74,20 +86,15 @@ def graph_aut_to_group_aut(
 ) -> AutomorphismTable:
     """The Sym_6 automorphism induced by a cage graph automorphism."""
     vertex_map = graph.vertex_map(automorphism)
+    _sends_edges_to_factors(vertex_map)
     element = _vertex_elements()
-    image_kinds = {w[0] for v, w in vertex_map.items() if v[0] == "e"}
-    if len(image_kinds) != 1:
-        raise IntegrityError("edge vertices map to a mix of both parts")
     x_image = element[vertex_map[("e", (1, 2))]]
     y_image = _fold([element[vertex_map[("e", edge)]] for edge in _Y_EDGES])
     table = extend(6, x_image, y_image)
     if table is None or not table.is_homomorphism():
         raise IntegrityError("generator images fail to extend to the group")
     # Every vertex of both parts must tell the same story as the table.
-    factor_image_kind = "e" if image_kinds == {"f"} else "f"
     for v, w in vertex_map.items():
-        if v[0] == "f" and w[0] != factor_image_kind:
-            raise IntegrityError("factor vertices land in the wrong part")
         if table.images[element[v]] != element[w]:
             raise IntegrityError("cage vertices disagree with the extension")
     return table

@@ -9,7 +9,10 @@ Every leaf candidate is verified edge by edge before it is accepted, so
 refinement only prunes, it never vouches.
 
 Automorphisms are returned as Permutation objects acting on 1-based vertex
-positions: position k stands for graph.vertices[k-1].
+positions: position k stands for graph.vertices[k-1].  A coloring is always
+preserved; a search in which classes may trade places is a search with no
+coloring, and reading which class went where is left to the caller (the
+cage's edge and factor parts are read in correspondence.py).
 
 A brute-force factorial sweep over all vertex bijections is included as the
 independent oracle for small graphs.
@@ -26,9 +29,6 @@ from .perms import Permutation
 
 MAX_SEARCH_VERTICES = 64
 MAX_BRUTE_FORCE_VERTICES = 8
-
-PRESERVE = "preserve"
-ALLOW_SWAP = "allow-swap"
 
 
 class Graph:
@@ -193,17 +193,10 @@ def _as_permutations(mappings) -> tuple[Permutation, ...]:
 
 
 def automorphism_group(
-    graph: Graph,
-    colors: Mapping | None = None,
-    mode: str = PRESERVE,
+    graph: Graph, colors: Mapping | None = None
 ) -> tuple[Permutation, ...]:
-    """All automorphisms of the graph compatible with the coloring.
-
-    mode="preserve" requires every vertex to map within its color class.
-    mode="allow-swap" takes a 2-coloring, searches with the two classes
-    identified, and keeps the automorphisms that either preserve both
-    classes or exchange them wholesale.
-    """
+    """All automorphisms of the graph that map every vertex within its
+    color class; with no coloring, all automorphisms."""
     if graph.n > MAX_SEARCH_VERTICES:
         raise ValueError(
             f"search supported up to {MAX_SEARCH_VERTICES} vertices, "
@@ -211,46 +204,7 @@ def automorphism_group(
         )
     if graph.n == 0:
         raise ValueError("empty graph")
-    if mode == PRESERVE:
-        return _as_permutations(_search(graph, _normalize_colors(graph, colors)))
-    if mode == ALLOW_SWAP:
-        base = _normalize_colors(graph, colors)
-        if colors is None or len(set(base)) != 2:
-            raise ValueError("allow-swap needs a coloring with exactly 2 classes")
-        kept = [
-            mapping
-            for mapping in _search(graph, (0,) * graph.n)
-            if _class_action(base, mapping) is not None
-        ]
-        return _as_permutations(kept)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _class_action(base_colors, mapping):
-    """'preserve' / 'swap' when the mapping respects the 2-class structure,
-    None when it mixes the classes."""
-    action = {}
-    for v, image in enumerate(mapping):
-        src, dst = base_colors[v], base_colors[image]
-        if action.setdefault(src, dst) != dst:
-            return None
-    if action == {0: 0, 1: 1}:
-        return "preserve"
-    if action == {0: 1, 1: 0}:
-        return "swap"
-    return None
-
-
-def preserves_classes(
-    graph: Graph, automorphism: Permutation, colors: Mapping
-) -> bool:
-    """True when the automorphism fixes each of the two color classes."""
-    base = _normalize_colors(graph, colors)
-    mapping = tuple(automorphism(k) - 1 for k in range(1, graph.n + 1))
-    action = _class_action(base, mapping)
-    if action is None:
-        raise IntegrityError("automorphism mixes the two color classes")
-    return action == "preserve"
+    return _as_permutations(_search(graph, _normalize_colors(graph, colors)))
 
 
 def brute_force_automorphisms(
@@ -301,6 +255,23 @@ def girth(graph: Graph):
                 elif parent[v] != w:
                     best = min(best, dist[v] + dist[w] + 1)
     return best
+
+
+def distances(graph: Graph, source: Hashable) -> dict:
+    """Breadth-first distance from source to each vertex it reaches."""
+    adjacency = graph.adjacency
+    start = graph.index(source)
+    dist = {start: 0}
+    queue = [start]
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for w in adjacency[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return {graph.vertices[v]: d for v, d in dist.items()}
 
 
 def is_bipartite(graph: Graph) -> tuple[frozenset, frozenset] | None:

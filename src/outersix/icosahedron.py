@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .autgroup import AutomorphismTable, conjugation_table
 from .errors import IntegrityError
-from .graphs import Graph, automorphism_group
+from .graphs import Graph, automorphism_group, distances
 from .perms import Permutation, enumerate_sym
 
 _TOP = 1
@@ -82,26 +82,13 @@ class IcosahedronModel:
         if sorted(a) != list(self.vertices) or any(a[a[v]] != v or a[v] == v for v in a):
             raise IntegrityError("antipode is not a fixed-point-free involution")
         for v in self.vertices:
-            if self.distance(v, a[v]) != 3:
+            if distances(g, v).get(a[v]) != 3:
                 raise IntegrityError(f"antipode of {v} is not at distance 3")
         face_set = set(self.faces)
         for face in self.faces:
             image = frozenset(a[v] for v in face)
             if image not in face_set or image & face:
                 raise IntegrityError("antipode fails to pair faces disjointly")
-
-    def distance(self, source: int, target: int) -> int:
-        dist = {source: 0}
-        queue = [source]
-        while queue:
-            v = queue.pop(0)
-            if v == target:
-                return dist[v]
-            for w in self.skeleton.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        raise IntegrityError("skeleton is disconnected")
 
     def antipodal_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -164,6 +151,33 @@ def rotation_group() -> tuple[Permutation, ...]:
                 "antipode composed with a reflection must be a rotation"
             )
     return rotations
+
+
+@lru_cache(maxsize=None)
+def _distance2_triangles() -> tuple[frozenset[int], ...]:
+    """The 20 triangles of the graph joining skeleton vertices at distance 2."""
+    model = build_model()
+    pairs = [
+        (u, v)
+        for u in model.vertices
+        for v, d in distances(model.skeleton, u).items()
+        if u < v and d == 2
+    ]
+    graph = Graph(model.vertices, pairs)
+    if graph.edge_count() != 30 or any(
+        graph.degree(v) != 5 for v in model.vertices
+    ):
+        raise IntegrityError("distance-2 graph is not a 5-regular 30-edge graph")
+    triangles = [
+        frozenset((a, b, c))
+        for a, b, c in itertools.combinations(model.vertices, 3)
+        if graph.has_edge(a, b) and graph.has_edge(a, c) and graph.has_edge(b, c)
+    ]
+    if len(triangles) != 20:
+        raise IntegrityError(
+            f"distance-2 graph has {len(triangles)} triangles, wanted 20"
+        )
+    return tuple(triangles)
 
 
 class DualPairTable:
@@ -257,7 +271,6 @@ class DualPairTable:
             self.letter_of_class[c] = letter_index
             self.letter_of_class[d] = letter_index
         self._phi_cache: dict[tuple, Permutation] = {}
-        self._distance2: Graph | None = None
 
     def _face_triples(self, labeling) -> frozenset[frozenset[int]]:
         label = {
@@ -276,36 +289,6 @@ class DualPairTable:
     def dual_class(self, class_index: int) -> int:
         return self.dual[class_index]
 
-    def _distance2_graph(self) -> Graph:
-        if self._distance2 is not None:
-            return self._distance2
-        model = self.model
-        pairs = [
-            (u, v)
-            for u, v in itertools.combinations(model.vertices, 2)
-            if model.distance(u, v) == 2
-        ]
-        graph = Graph(model.vertices, pairs)
-        if graph.edge_count() != 30 or any(
-            graph.degree(v) != 5 for v in model.vertices
-        ):
-            raise IntegrityError("distance-2 graph is not a 5-regular 30-edge graph")
-        self._distance2 = graph
-        return graph
-
-    def _distance2_triangles(self) -> tuple[frozenset[int], ...]:
-        graph = self._distance2_graph()
-        triangles = [
-            frozenset((a, b, c))
-            for a, b, c in itertools.combinations(self.model.vertices, 3)
-            if graph.has_edge(a, b) and graph.has_edge(a, c) and graph.has_edge(b, c)
-        ]
-        if len(triangles) != 20:
-            raise IntegrityError(
-                f"distance-2 graph has {len(triangles)} triangles, wanted 20"
-            )
-        return tuple(triangles)
-
     def dual_class_via_skeleton(self, class_index: int) -> int:
         """Partner class read off the distance-2 skeleton, an independent
         route that never looks at triple complements."""
@@ -315,7 +298,7 @@ class DualPairTable:
         }
         triples = frozenset(
             frozenset(label[v] for v in triangle)
-            for triangle in self._distance2_triangles()
+            for triangle in _distance2_triangles()
         )
         partner = self._class_by_triples.get(triples)
         if partner is None:

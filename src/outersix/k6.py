@@ -209,12 +209,6 @@ def tutte_graph() -> Graph:
     return Graph(vertices, incidence)
 
 
-def tutte_parts(graph: Graph | None = None) -> dict:
-    """Vertex coloring separating edge vertices from factor vertices."""
-    graph = graph or tutte_graph()
-    return {v: 0 if v[0] == "e" else 1 for v in graph.vertices}
-
-
 def _edge_name(edge: Edge) -> str:
     return f"{edge[0]}{edge[1]}"
 

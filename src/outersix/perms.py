@@ -117,13 +117,6 @@ class Permutation:
             images[v - 1] = k
         return Permutation._raw(tuple(images))
 
-    def __pow__(self, exponent: int) -> "Permutation":
-        base = self if exponent >= 0 else self.inverse()
-        result = Permutation.identity(self.degree)
-        for _ in range(abs(exponent)):
-            result = base * result
-        return result
-
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g * self * g**-1, the relabeling of self along g."""
         return g * self * g.inverse()

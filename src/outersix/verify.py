@@ -179,8 +179,9 @@ def check_cage_correspondence() -> dict:
     aut = set(autgroup.enumerate_automorphisms(6))
     _demand(set(tables) == aut, "induced tables miss Aut(Sym_6)")
     inner, outer = autgroup.inner_and_outer(6)
-    preserving = {t for a, t in pairs if not correspondence.swaps_parts(a)}
-    swapping = {t for a, t in pairs if correspondence.swaps_parts(a)}
+    preserving, swapping = set(), set()
+    for a, t in pairs:
+        (swapping if correspondence.swaps_parts(a) else preserving).add(t)
     _demand(preserving == set(inner), "part-preserving half is not Inn")
     _demand(swapping == set(outer), "part-swapping half is not the outer coset")
     return {"cage_automorphisms": 1440, "preserving": len(preserving)}

@@ -8,6 +8,7 @@ import pytest
 from outersix import cli, correspondence, involutions, k6, verify
 from outersix.cli import main
 from outersix.errors import IntegrityError
+from outersix.perms import Permutation
 
 
 def run_cli(capsys, argv):
@@ -361,6 +362,24 @@ def test_verify_all_reports_a_broken_claim(capsys, monkeypatch):
         line.startswith("FAIL involutive-counts") for line in out.splitlines()
     )
     assert "10/11 checks passed" in out
+
+
+def test_cage_correspondence_reports_a_part_mixing_map(capsys, monkeypatch):
+    pairs = list(correspondence.correspondence())
+    graph = k6.tutte_graph()
+    images = list(range(1, graph.n + 1))
+    a, b = graph.index(("e", (1, 2))), graph.index(("f", ((1, 2), (3, 4), (5, 6))))
+    images[a], images[b] = images[b], images[a]
+    pairs[0] = (Permutation(images), pairs[0][1])
+    monkeypatch.setattr(correspondence, "correspondence", lambda: tuple(pairs))
+    [result] = verify.run_checks(("cage-correspondence",))
+    assert result["passed"] is False
+    assert "mix of both parts" in result["details"]["error"]
+    code, out, err = run_cli(capsys, ["verify-all", "--json"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    failed = [r for r in json.loads(out)["findings"]["checks"] if not r["passed"]]
+    assert [r["check"] for r in failed] == ["cage-correspondence"]
 
 
 def test_run_checks_subset(capsys):

@@ -80,6 +80,18 @@ def test_correspondence_respects_inverse():
 
 
 
+def test_swapping_an_edge_and_a_factor_vertex_is_an_integrity_error():
+    graph = tutte_graph()
+    images = list(range(1, graph.n + 1))
+    a, b = graph.index(("e", (1, 2))), graph.index(("f", ((1, 2), (3, 4), (5, 6))))
+    images[a], images[b] = images[b], images[a]
+    mixed = Permutation(images)
+    with pytest.raises(IntegrityError, match="mix of both parts"):
+        swaps_parts(mixed)
+    with pytest.raises(IntegrityError, match="mix of both parts"):
+        graph_aut_to_group_aut(graph, mixed)
+
+
 def test_swapping_two_edge_vertices_is_an_integrity_error():
     graph = tutte_graph()
     images = list(range(1, graph.n + 1))

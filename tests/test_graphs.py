@@ -1,22 +1,22 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from outersix.errors import IntegrityError
+from outersix.correspondence import cage_automorphisms, swaps_parts
 from outersix.graphs import (
-    ALLOW_SWAP,
     MAX_BRUTE_FORCE_VERTICES,
     MAX_SEARCH_VERTICES,
     Graph,
     automorphism_group,
     brute_force_automorphisms,
+    distances,
     girth,
     is_bipartite,
-    preserves_classes,
 )
 from outersix.icosahedron import build_model
-from outersix.k6 import tutte_graph, tutte_parts
+from outersix.k6 import tutte_graph
 from outersix.verify import oracle_corpus
 
 
@@ -69,6 +69,20 @@ def test_corpus_has_disconnected_and_colored_entries():
     assert any(colors is not None for _, _, colors in oracle_corpus())
 
 
+def test_engine_matches_brute_force_on_random_graphs():
+    # Any edge density up to 7 vertices; at 8 the oracle sweeps 40,320
+    # bijections per graph, so those graphs are drawn at density 1/2.
+    rng = random.Random(0xF0221)
+    shapes = [(rng.randint(1, 7), rng.random()) for _ in range(150)] + [(8, 0.5)] * 6
+    for trial, (n, density) in enumerate(shapes):
+        pairs = itertools.combinations(range(n), 2)
+        edges = [e for e in pairs if rng.random() < density]
+        graph = Graph(range(n), edges)
+        for colors in (None, {v: rng.randrange(2) for v in range(n)}):
+            expected = brute_force_automorphisms(graph, colors)
+            assert automorphism_group(graph, colors) == expected, (trial, edges, colors)
+
+
 def test_known_group_orders():
     assert len(automorphism_group(complete(4))) == 24
     assert len(automorphism_group(petersen())) == 120
@@ -86,7 +100,7 @@ def test_automorphisms_fix_adjacency():
 
 def test_cage_group_closure():
     graph = tutte_graph()
-    found = set(automorphism_group(graph, tutte_parts(graph), mode=ALLOW_SWAP))
+    found = set(automorphism_group(graph))
     identity = next(p for p in found if p.is_identity())
     assert identity.degree == 30
     for p in found:
@@ -100,40 +114,16 @@ def test_cage_group_closure():
 
 def test_allow_swap_contains_preserve():
     graph = tutte_graph()
-    colors = tutte_parts(graph)
-    preserving = set(automorphism_group(graph, colors))
-    both = set(automorphism_group(graph, colors, mode=ALLOW_SWAP))
-    assert preserving < both
-    assert len(both) == 2 * len(preserving)
-    for p in both:
-        assert preserves_classes(graph, p, colors) == (p in preserving)
+    preserving = set(automorphism_group(graph, {v: v[0] for v in graph.vertices}))
+    assert len(preserving) == 720
+    assert preserving == {a for a in cage_automorphisms() if not swaps_parts(a)}
 
 
 def test_allow_swap_on_complete_bipartite():
     g = Graph(range(6), [(u, v) for u in range(3) for v in range(3, 6)])
     colors = {v: 0 if v < 3 else 1 for v in range(6)}
     assert len(automorphism_group(g, colors)) == 36
-    assert len(automorphism_group(g, colors, mode=ALLOW_SWAP)) == 72
-
-
-def test_allow_swap_needs_two_classes():
-    g = complete(3)
-    with pytest.raises(ValueError):
-        automorphism_group(g, None, mode=ALLOW_SWAP)
-    with pytest.raises(ValueError):
-        automorphism_group(g, {0: 0, 1: 0, 2: 0}, mode=ALLOW_SWAP)
-    with pytest.raises(ValueError):
-        automorphism_group(g, {0: 0, 1: 1}, mode=ALLOW_SWAP)
-
-
-def test_preserves_classes_raises_on_mixing():
-    g = Graph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    colors = {0: 0, 1: 0, 2: 1, 3: 1}
-    rotation = automorphism_group(g)[1]
-    mapping = g.vertex_map(rotation)
-    if {colors[mapping[v]] for v in (0, 1)} == {0, 1}:
-        with pytest.raises(IntegrityError):
-            preserves_classes(g, rotation, colors)
+    assert len(automorphism_group(g)) == 72
 
 
 def test_size_guards():
@@ -145,13 +135,18 @@ def test_size_guards():
         brute_force_automorphisms(nine)
     with pytest.raises(ValueError):
         automorphism_group(Graph([], []))
-    with pytest.raises(ValueError):
-        automorphism_group(complete(3), mode="mirror")
 
 
 def test_unknown_mode_and_missing_color():
     with pytest.raises(ValueError):
         automorphism_group(complete(3), {0: 0, 1: 0})
+
+
+def test_distances():
+    g = Graph("abcde", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    assert distances(g, "a") == {"a": 0, "b": 1, "c": 1, "d": 2}
+    assert distances(g, "e") == {"e": 0}
+    assert all(distances(petersen(), v)[w] <= 2 for v in range(10) for w in range(10))
 
 
 def test_girth_frozen_values():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from outersix.autgroup import class_image, inner_and_outer, inner_witness
+from outersix.graphs import distances
 from outersix.icosahedron import (
     build_model,
     dual_pair_table,
@@ -32,7 +33,7 @@ def test_antipodal_map():
     m = build_model()
     a = m.antipode
     assert all(a[a[v]] == v and a[v] != v for v in m.vertices)
-    assert all(m.distance(v, a[v]) == 3 for v in m.vertices)
+    assert all(distances(m.skeleton, v)[a[v]] == 3 for v in m.vertices)
     assert len(m.antipodal_pairs()) == 6
     face_set = set(m.faces)
     for face in m.faces:

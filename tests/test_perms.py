@@ -47,10 +47,6 @@ def test_inverse_and_pow():
     p = parse_cycles("(1,2,3,4,5)", 5)
     assert (p * p.inverse()).is_identity()
     assert (p.inverse() * p).is_identity()
-    assert p**5 == Permutation.identity(5)
-    assert p**-1 == p.inverse()
-    assert p**2 == p * p
-    assert p**0 == Permutation.identity(5)
 
 
 def test_inverse_exhaustive_sym4():
@@ -118,9 +114,10 @@ def test_order_examples():
     assert parse_cycles("(1,2,3)(4,5)", 6).order() == 6
     assert parse_cycles("(1,2,3,4)(5,6)", 6).order() == 4
     for p in enumerate_sym(5):
-        assert p.order() == next(
-            k for k in range(1, 121) if (p**k).is_identity()
-        )
+        power, k = p, 1
+        while not power.is_identity():
+            power, k = power * p, k + 1
+        assert p.order() == k
 
 
 def test_order_divides_group_order():
