@@ -1,12 +1,13 @@
-"""Small-graph automorphism search by color refinement and backtracking.
+"""Small-graph automorphism search by consistency backtracking.
 
-The engine individualizes one vertex at a time and re-refines: vertices are
-colored, each round replaces a vertex's color with (color, sorted multiset
-of neighbor colors), and rounds repeat until the partition stops splitting.
-The search tracks two colorings of the same graph, one for the source side
-and one for the image side, branching on the smallest non-singleton cell.
-Every leaf candidate is verified edge by edge before it is accepted, so
-refinement only prunes, it never vouches.
+The engine maps vertices one at a time, in an order fixed once per graph:
+the next vertex is the unmapped one with the most mapped neighbors, ties
+going to the lowest index.  A vertex with a mapped neighbor can only go to
+a neighbor of that neighbor's image; any other vertex can go anywhere.  A
+candidate must be unused, have the same color and degree, be adjacent to
+the images of all mapped neighbors and to no other used vertex.  Every
+complete map is verified edge by edge and color by color before it is
+accepted, so pruning only prunes, it never vouches.
 
 Automorphisms are returned as Permutation objects acting on 1-based vertex
 positions: position k stands for graph.vertices[k-1].  A coloring is always
@@ -106,79 +107,59 @@ def _normalize_colors(graph: Graph, colors: Mapping | None) -> tuple[int, ...]:
     return tuple(rank[colors[v]] for v in graph.vertices)
 
 
-def _refine_pair(adjacency, colors_a, colors_b):
-    """Refine two colorings of one graph in lockstep.
-
-    Returns the stabilized pair, or None when the colorings disagree on the
-    multiset of refined colors (no automorphism can match them).
-    """
-    n = len(colors_a)
-    while True:
-        sigs_a = [
-            (colors_a[v], tuple(sorted(colors_a[w] for w in adjacency[v])))
-            for v in range(n)
-        ]
-        sigs_b = [
-            (colors_b[v], tuple(sorted(colors_b[w] for w in adjacency[v])))
-            for v in range(n)
-        ]
-        if sorted(sigs_a) != sorted(sigs_b):
-            return None
-        palette = {sig: k for k, sig in enumerate(sorted(set(sigs_a)))}
-        new_a = tuple(palette[s] for s in sigs_a)
-        new_b = tuple(palette[s] for s in sigs_b)
-        if len(set(new_a)) == len(set(colors_a)):
-            return new_a, new_b
-        colors_a, colors_b = new_a, new_b
-
-
-def _cells(colors):
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return cells
+def _search_order(adjacency) -> list[tuple[int, list[int]]]:
+    """Each vertex in search order with its neighbors earlier in the order."""
+    ordered_neighbors = [0] * len(adjacency)
+    remaining = set(range(len(adjacency)))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (-ordered_neighbors[u], u))
+        remaining.remove(v)
+        order.append((v, [w for w in adjacency[v] if w not in remaining]))
+        for w in adjacency[v]:
+            ordered_neighbors[w] += 1
+    return order
 
 
 def _search(graph: Graph, base_colors: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every color-preserving automorphism, one complete vertex map each."""
     adjacency = graph.adjacency
     n = graph.n
+    order = _search_order(adjacency)
+    image = [-1] * n
+    used = [False] * n
+    used_neighbors = [0] * n  # per vertex, how many of its neighbors are used
     found: list[tuple[int, ...]] = []
 
-    def leaf(colors_a, colors_b):
-        position_of = {c: v for v, c in enumerate(colors_b)}
-        mapping = tuple(position_of[c] for c in colors_a)
-        for v in range(n):
-            if base_colors[v] != base_colors[mapping[v]]:
-                return
-            if {mapping[w] for w in adjacency[v]} != set(adjacency[mapping[v]]):
-                return
-        found.append(mapping)
-
-    def descend(colors_a, colors_b):
-        refined = _refine_pair(adjacency, colors_a, colors_b)
-        if refined is None:
+    def descend(depth):
+        if depth == n:
+            if all(
+                base_colors[v] == base_colors[image[v]]
+                and {image[w] for w in adjacency[v]} == adjacency[image[v]]
+                for v in range(n)
+            ):
+                found.append(tuple(image))
             return
-        colors_a, colors_b = refined
-        cells_a = _cells(colors_a)
-        open_cells = [
-            (len(vs), c) for c, vs in cells_a.items() if len(vs) > 1
-        ]
-        if not open_cells:
-            leaf(colors_a, colors_b)
-            return
-        _, color = min(open_cells)
-        cells_b = _cells(colors_b)
-        v = cells_a[color][0]
-        fresh = n  # larger than any refined color id
-        next_a = list(colors_a)
-        next_a[v] = fresh
-        next_a = tuple(next_a)
-        for u in cells_b[color]:
-            next_b = list(colors_b)
-            next_b[u] = fresh
-            descend(next_a, tuple(next_b))
+        v, mapped_neighbors = order[depth]
+        anchors = [image[u] for u in mapped_neighbors]
+        for w in adjacency[anchors[0]] if anchors else range(n):
+            if (
+                used[w]
+                or base_colors[w] != base_colors[v]
+                or len(adjacency[w]) != len(adjacency[v])
+                or used_neighbors[w] != len(anchors)
+                or not all(a in adjacency[w] for a in anchors)
+            ):
+                continue
+            image[v], used[w] = w, True
+            for x in adjacency[w]:
+                used_neighbors[x] += 1
+            descend(depth + 1)
+            for x in adjacency[w]:
+                used_neighbors[x] -= 1
+            image[v], used[w] = -1, False
 
-    descend(base_colors, base_colors)
+    descend(0)
     if len(set(found)) != len(found):
         raise IntegrityError("duplicate automorphisms from distinct leaves")
     return found

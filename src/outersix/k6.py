@@ -21,6 +21,7 @@ from .graphs import Graph
 from .perms import Permutation, pair_partitions
 
 POINTS = (1, 2, 3, 4, 5, 6)
+GQ_ORDER = 2  # s = t = 2: three points per line, three lines per point
 
 Edge = tuple[int, int]
 Factor = tuple[Edge, Edge, Edge]
@@ -162,20 +163,20 @@ def doily() -> IncidenceStructure:
     return IncidenceStructure(edges(), (frozenset(f) for f in factors()))
 
 
-def check_gq_axioms(structure: IncidenceStructure, s: int = 2, t: int = 2) -> None:
-    """Raise IntegrityError naming the first GQ(s,t) axiom that fails."""
+def check_gq_axioms(structure: IncidenceStructure) -> None:
+    """Raise IntegrityError naming the first GQ(2,2) axiom that fails."""
     for line in structure.lines:
-        if len(line) != s + 1:
+        if len(line) != GQ_ORDER + 1:
             raise IntegrityError(
                 f"line size axiom: {sorted(line)} has {len(line)} points, "
-                f"wanted {s + 1}"
+                f"wanted {GQ_ORDER + 1}"
             )
     for point in structure.points:
         through = structure.lines_through(point)
-        if len(through) != t + 1:
+        if len(through) != GQ_ORDER + 1:
             raise IntegrityError(
                 f"point degree axiom: {point} lies on {len(through)} lines, "
-                f"wanted {t + 1}"
+                f"wanted {GQ_ORDER + 1}"
             )
     for a, b in itertools.combinations(structure.lines, 2):
         if len(a & b) > 1:

@@ -291,7 +291,7 @@ def oracle_corpus() -> list[tuple[str, Graph, dict | None]]:
 
 
 def check_engine_against_oracle() -> dict:
-    """Refinement search equals the factorial sweep on the whole corpus."""
+    """Backtrack search equals the factorial sweep on the whole corpus."""
     corpus = oracle_corpus()
     _demand(len(corpus) >= 20, "corpus too small")
     for name, graph, colors in corpus:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from outersix import cli, correspondence, involutions, k6, verify
+from outersix import cli, correspondence, graphs, involutions, k6, verify
 from outersix.cli import main
 from outersix.errors import IntegrityError
 from outersix.perms import Permutation
@@ -380,6 +380,26 @@ def test_cage_correspondence_reports_a_part_mixing_map(capsys, monkeypatch):
     assert "Traceback" not in out + err
     failed = [r for r in json.loads(out)["findings"]["checks"] if not r["passed"]]
     assert [r["check"] for r in failed] == ["cage-correspondence"]
+
+
+def test_engine_oracle_reports_a_dropped_automorphism(capsys, monkeypatch):
+    search = graphs._search
+
+    def drop_one(graph, colors):
+        found = search(graph, colors)
+        return found[1:] if len(found) > 1 else found
+
+    monkeypatch.setattr(graphs, "_search", drop_one)
+    [result] = verify.run_checks(("engine-oracle",))
+    assert result["passed"] is False
+    error = result["details"]["error"]
+    assert "engine found" in error
+    assert error.split(":")[0] in {name for name, _, _ in verify.oracle_corpus()}
+    code, out, err = run_cli(capsys, ["verify-all", "--json"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    checks = json.loads(out)["findings"]["checks"]
+    assert "engine-oracle" in [r["check"] for r in checks if not r["passed"]]
 
 
 def test_run_checks_subset(capsys):

@@ -36,6 +36,7 @@ def test_correspondence_is_a_bijection_onto_aut():
     tables = [table for _, table in pairs]
     assert len(set(tables)) == 1440
     assert set(tables) == set(enumerate_automorphisms(6))
+    assert all(t.is_homomorphism() for t in tables)
 
 
 def test_part_action_separates_inner_from_outer():

@@ -83,11 +83,53 @@ def test_engine_matches_brute_force_on_random_graphs():
             assert automorphism_group(graph, colors) == expected, (trial, edges, colors)
 
 
+def heawood():
+    cycle = [(v, (v + 1) % 14) for v in range(14)]
+    return Graph(range(14), cycle + [(v, (v + 5) % 14) for v in range(0, 14, 2)])
+
+
+def hypercube(d):
+    bits = [1 << b for b in range(d)]
+    edges = [(v, v | b) for v in range(2**d) for b in bits if not v & b]
+    return Graph(range(2**d), edges)
+
+
+def dodecahedron():
+    edges = []
+    for i in range(5):
+        j = (i + 1) % 5
+        edges += [(i, j), (i, i + 5), (i + 5, i + 10), (j + 5, i + 10)]
+        edges += [(i + 10, i + 15), (i + 15, j + 15)]
+    return Graph(range(20), edges)
+
+
+def torus_graph(steps):
+    """Cayley graph of Z4 x Z4 with the given connection set."""
+    cells = list(itertools.product(range(4), repeat=2))
+    def step(a, b):
+        return ((b[0] - a[0]) % 4, (b[1] - a[1]) % 4)
+
+    pairs = itertools.combinations(cells, 2)
+    return Graph(cells, [(a, b) for a, b in pairs if step(a, b) in steps])
+
+
 def test_known_group_orders():
     assert len(automorphism_group(complete(4))) == 24
     assert len(automorphism_group(petersen())) == 120
     cycle6 = Graph(range(6), [(v, (v + 1) % 6) for v in range(6)])
     assert len(automorphism_group(cycle6)) == 12
+    # Beyond the oracle's reach: orders known from the literature.
+    assert len(automorphism_group(heawood())) == 336
+    assert len(automorphism_group(hypercube(4))) == 384
+    assert len(automorphism_group(dodecahedron())) == 120
+    rook = {(0, k) for k in (1, 2, 3)} | {(k, 0) for k in (1, 2, 3)}
+    assert len(automorphism_group(torus_graph(rook))) == 1152
+    shrikhande = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    assert len(automorphism_group(torus_graph(shrikhande))) == 192
+    squares = {k * k % 13 for k in range(1, 13)}
+    pairs = itertools.combinations(range(13), 2)
+    paley13 = Graph(range(13), [(u, v) for u, v in pairs if v - u in squares])
+    assert len(automorphism_group(paley13)) == 78
 
 
 def test_automorphisms_fix_adjacency():
