@@ -75,7 +75,7 @@ class AutomorphismTable:
     def __init__(self, n: int, images):
         images = tuple(images)
         size = len(group_elements(n))
-        if len(images) != size or len(set(images)) != size:
+        if len(images) != size or not set(images).issuperset(range(size)):
             raise ValueError("table is not a bijection of the element list")
         self.n = n
         self.images = images

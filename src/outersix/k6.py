@@ -13,12 +13,11 @@ structure is cubic on 30 vertices with girth 8.
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 
 from .errors import IntegrityError
 from .graphs import Graph
-from .perms import Permutation, pair_partitions
+from .perms import Permutation, involution_class
 
 POINTS = (1, 2, 3, 4, 5, 6)
 GQ_ORDER = 2  # s = t = 2: three points per line, three lines per point
@@ -35,8 +34,9 @@ def edges() -> tuple[Edge, ...]:
 
 @lru_cache(maxsize=None)
 def factors() -> tuple[Factor, ...]:
-    """The 15 perfect matchings, each a sorted triple of edges."""
-    found = tuple(sorted(pair_partitions(POINTS)))
+    """The 15 perfect matchings, each a sorted triple of edges, in sorted
+    order: the 2-cycles of the triple involutions of Sym_6."""
+    found = tuple(p.cycles() for p in involution_class(6, 3))
     if len(found) != 15:
         raise IntegrityError(f"expected 15 one-factors, found {len(found)}")
     return found
@@ -46,21 +46,8 @@ def edge_to_transposition(edge: Edge) -> Permutation:
     return Permutation.transposition(6, *edge)
 
 
-def transposition_to_edge(p: Permutation) -> Edge:
-    cycles = p.cycles()
-    if p.degree != 6 or len(cycles) != 1 or len(cycles[0]) != 2:
-        raise ValueError(f"{p} is not a transposition of degree 6")
-    return tuple(sorted(cycles[0]))  # type: ignore[return-value]
-
-
 def factor_to_involution(factor: Factor) -> Permutation:
     return Permutation.from_cycles(6, factor)
-
-
-def involution_to_factor(p: Permutation) -> Factor:
-    if p.degree != 6 or p.cycle_type() != (2, 2, 2):
-        raise ValueError(f"{p} is not a triple involution of degree 6")
-    return tuple(sorted(tuple(sorted(c)) for c in p.cycles()))  # type: ignore
 
 
 def stars() -> dict[int, frozenset[Edge]]:
@@ -227,10 +214,6 @@ def doily_document() -> dict:
             [_edge_name(e), _factor_name(f)] for f in factors() for e in f
         ],
     }
-
-
-def doily_json() -> str:
-    return json.dumps(doily_document(), indent=2)
 
 
 def _incidence_dot(name: str, point_prefix: str, line_prefix: str) -> str:

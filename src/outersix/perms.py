@@ -13,9 +13,10 @@ Conventions used throughout the package:
   ``(2,) * j + (1,) * (n - 2*j)``.
 
 Involutions with exactly j 2-cycles form a single conjugacy class; the
-module exposes that class both by direct construction (support choice plus
-perfect matching) and through its counting formula n! / (i! * j! * 2**j)
-with i = n - 2*j fixed points.
+module exposes that class both by direct construction (one recursive walk
+that fixes or pairs each point in turn, emitting members in lexicographic
+order) and through its counting formula n! / (i! * j! * 2**j) with
+i = n - 2*j fixed points.
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ class Permutation:
     def commutes_with(self, other: "Permutation") -> bool:
         return self * other == other * self
 
-    def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each rotated to start at its least point and
-        sorted by that point."""
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Nontrivial disjoint cycles, each rotated to start at its least
+        point and sorted by that point; fixed points are omitted."""
         seen: set[int] = set()
         out: list[tuple[int, ...]] = []
         for start in range(1, self.degree + 1):
@@ -139,7 +140,7 @@ class Permutation:
                 cycle.append(point)
                 seen.add(point)
                 point = self(point)
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return tuple(out)
 
@@ -149,11 +150,11 @@ class Permutation:
         >>> Permutation.from_cycles(6, [(1, 2), (3, 4)]).cycle_type()
         (2, 2, 1, 1)
         """
-        lengths = [len(c) for c in self.cycles(include_fixed=True)]
-        return tuple(sorted(lengths, reverse=True))
+        lengths = sorted((len(c) for c in self.cycles()), reverse=True)
+        return tuple(lengths) + (1,) * (self.degree - sum(lengths))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
@@ -218,30 +219,6 @@ def enumerate_sym(n: int) -> Iterator[Permutation]:
         yield Permutation._raw(images)
 
 
-def pair_partitions(points: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every partition of the given points into unordered pairs.
-
-    Pairs come out as (small, large) and each partition lists its pairs in
-    increasing order of first coordinate, so the overall stream is
-    deterministic.  The number of points must be even.
-    """
-    points = sorted(points)
-    if len(points) % 2:
-        raise ValueError("odd number of points cannot be paired")
-
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        for k, partner in enumerate(rest):
-            head = (first, partner)
-            for tail in rec(rest[:k] + rest[k + 1 :]):
-                yield (head,) + tail
-
-    return rec(tuple(points))
-
-
 def involution_class_size(n: int, j: int) -> int:
     """Size of the class of involutions with j 2-cycles in degree n."""
     _check_class_id(n, j)
@@ -252,15 +229,13 @@ def involution_class_size(n: int, j: int) -> int:
 def involution_class(n: int, j: int) -> tuple[Permutation, ...]:
     """All involutions of degree n with exactly j 2-cycles, sorted.
 
-    Built directly: choose the 2j moved points, then pair them up.  The
-    result is cross-checked against the counting formula.
+    Built directly by one walk that emits the members in lexicographic
+    order of image tuples.  The result is cross-checked against the
+    counting formula.
     """
     _check_class_id(n, j)
-    members = []
-    for support in itertools.combinations(range(1, n + 1), 2 * j):
-        for matching in pair_partitions(support):
-            members.append(Permutation.from_cycles(n, matching))
-    members.sort()
+    members: list[Permutation] = []
+    _matchings(list(range(1, n + 1)), list(range(1, n + 1)), j, members)
     if len(members) != involution_class_size(n, j):
         raise IntegrityError(
             f"involution class (n={n}, j={j}) has {len(members)} members, "
@@ -276,3 +251,18 @@ def _check_class_id(n: int, j: int) -> None:
         raise ValueError(f"class index j must be at least 1, got {j}")
     if 2 * j > n:
         raise ValueError(f"class (n={n}, j={j}) is empty: need 2j <= n")
+
+
+def _matchings(images: list[int], free: list[int], pairs: int, out: list) -> None:
+    # The least free point is first left fixed, then paired with each larger
+    # free point in turn, so members reach `out` in lexicographic order.
+    if not pairs:
+        out.append(Permutation._raw(tuple(images)))
+        return
+    first, rest = free[0], free[1:]
+    if len(rest) >= 2 * pairs:
+        _matchings(images, rest, pairs, out)
+    for k, partner in enumerate(rest):
+        images[first - 1], images[partner - 1] = partner, first
+        _matchings(images, rest[:k] + rest[k + 1 :], pairs - 1, out)
+        images[first - 1], images[partner - 1] = first, partner

@@ -30,7 +30,7 @@ def test_criterion_01_outer_orders():
     assert details["out_orders"] == {"3": 1, "4": 1, "5": 1, "6": 2}
 
 
-def test_criterion_01b_degree_six_search_fits_the_time_budget():
+def test_criterion_01b_degree_six_search_fits_the_time_budget(package_env):
     code = textwrap.dedent(
         """
         import time
@@ -42,7 +42,11 @@ def test_criterion_01b_degree_six_search_fits_the_time_budget():
         """
     )
     completed = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=150
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=150,
+        env=package_env,
     )
     assert completed.returncode == 0, completed.stderr
     count, elapsed = completed.stdout.split()

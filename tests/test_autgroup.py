@@ -50,6 +50,11 @@ def test_table_validation():
         AutomorphismTable(3, [0] * 6)
     with pytest.raises(ValueError):
         AutomorphismTable(3, range(5))
+    # Six distinct images that are not exactly the indices 0..5.
+    with pytest.raises(ValueError):
+        AutomorphismTable(3, range(1, 7))
+    with pytest.raises(ValueError):
+        AutomorphismTable(3, (-1, 0, 1, 2, 3, 4))
     a = AutomorphismTable.identity(3)
     b = AutomorphismTable.identity(4)
     with pytest.raises(ValueError):

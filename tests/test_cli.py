@@ -410,12 +410,13 @@ def test_run_checks_subset(capsys):
         verify.run_checks(["no-such-check"])
 
 
-def test_module_entry_point_smoke():
+def test_module_entry_point_smoke(package_env):
     completed = subprocess.run(
         [sys.executable, "-m", "outersix.cli", "classes", "--n", "3", "--json"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=package_env,
     )
     assert completed.returncode == 0
     report = json.loads(completed.stdout)

@@ -1,7 +1,6 @@
 """K6 edge/factor geometry, the doily, and the incidence cage."""
 
 import itertools
-import json
 import math
 import re
 
@@ -16,7 +15,6 @@ from outersix.k6 import (
     doily,
     doily_dot,
     doily_document,
-    doily_json,
     edge_to_transposition,
     edges,
     factor_to_involution,
@@ -24,12 +22,10 @@ from outersix.k6 import (
     factorizations_through,
     factors,
     factors_through,
-    involution_to_factor,
     permute_edge,
     permute_factor,
     permute_factorization,
     stars,
-    transposition_to_edge,
     tutte_dot,
     tutte_graph,
 )
@@ -39,6 +35,7 @@ from outersix.perms import Permutation, enumerate_sym, involution_class
 def test_basic_counts():
     assert len(edges()) == 15
     assert len(factors()) == 15
+    assert list(factors()) == sorted(factors())
     assert len(stars()) == 6
     assert len(factorizations()) == 6
 
@@ -69,19 +66,11 @@ def test_factorizations_cover_edges():
 def test_edge_transposition_bijection():
     seen = {edge_to_transposition(e) for e in edges()}
     assert seen == set(involution_class(6, 1))
-    for e in edges():
-        assert transposition_to_edge(edge_to_transposition(e)) == e
-    with pytest.raises(ValueError):
-        transposition_to_edge(Permutation.identity(6))
 
 
 def test_factor_involution_bijection():
     seen = {factor_to_involution(f) for f in factors()}
     assert seen == set(involution_class(6, 3))
-    for f in factors():
-        assert involution_to_factor(factor_to_involution(f)) == f
-    with pytest.raises(ValueError):
-        involution_to_factor(Permutation.transposition(6, 1, 2))
 
 
 def test_stars_match_involution_analysis():
@@ -193,15 +182,14 @@ def test_cage_automorphism_counts():
 
 
 def test_doily_json_document():
-    document = json.loads(doily_json())
+    document = doily_document()
     assert set(document) == {"points", "lines", "incidence"}
     assert len(document["points"]) == 15
     assert len(document["lines"]) == 15
     assert all(len(line) == 3 for line in document["lines"])
     assert len(document["incidence"]) == 45
-    assert document == doily_document()
     # Deterministic output.
-    assert doily_json() == doily_json()
+    assert doily_document() == document
 
 
 NODE_RE = re.compile(r"^\s+\w+ \[[^\]]*\];$")
