@@ -8,8 +8,7 @@ on {x, y}: it fills the full image table and checks every edge (g, g*s)
 along the way, so a conflict-free pass onto a bijection certifies the
 homomorphism property exactly, by induction on word length.  The search
 feeds it every candidate pair (an involution for x, an order-n element for
-y), and the cage transport the pair a graph automorphism induces.  No
-sampling, no reliance on pruning heuristics: the one shortcut applied
+y).  No sampling, no reliance on pruning heuristics: the one shortcut applied
 before the walk, requiring order(x'*y') == order(x*y), is a necessary
 condition for any automorphism, so nothing valid is skipped.
 
@@ -267,9 +266,9 @@ def inner_and_outer(n: int) -> tuple[tuple[AutomorphismTable, ...], tuple[Automo
 
 
 def inner_order(n: int) -> int:
-    """Number of distinct conjugation maps (counted as tables)."""
-    distinct = {conjugation_table(n, g) for g in group_elements(n)}
-    return len(distinct)
+    """Number of distinct conjugation maps.  Each is an automorphism, so its
+    images of x and y fix it: the conjugators' keys count them exactly."""
+    return len(_conjugators(n))
 
 
 def out_order(n: int) -> int:

@@ -5,20 +5,21 @@ element of Sym_6: an edge vertex for its transposition, a factor vertex for
 its triple involution.  The graph engine searches with no coloring, so the
 parts are free to swap; _sends_edges_to_factors is the one place that reads
 whether a vertex map keeps the two parts or exchanges them, and it refuses
-a map that sends either part into both.  The images of the edge vertices
-(1,2), (2,3), (3,4), (4,5), (5,6) give the images of the generators
-x = (1,2) and y = (1,2)*(2,3)*(3,4)*(4,5)*(5,6) = (1,2,...,6), and
-autgroup.extend turns that pair into a table it has checked on every edge
-(g, g*x) and (g, g*y) of the Cayley graph, and the table is checked to
-agree with the graph map on every vertex of both parts, so each of the
-1440 graph automorphisms yields one well-defined automorphism of Sym_6.
+a map that sends either part into both.  Every automorphism of Sym_6 found
+by autgroup.enumerate_automorphisms is keyed by its images of the 30
+vertex elements, in vertex order; a graph automorphism is transported by
+building the same key from its vertex map and looking the table up.  The
+key is the whole vertex map, so a table is returned only when it agrees
+with the graph map on every vertex of both parts, and the transpositions
+alone generate Sym_6, so no two tables share a key: each of the 1440
+graph automorphisms yields one well-defined automorphism of Sym_6.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .autgroup import AutomorphismTable, extend, sym
+from .autgroup import AutomorphismTable, enumerate_automorphisms, sym
 from .errors import IntegrityError
 from .graphs import Graph, automorphism_group
 from .k6 import edge_to_transposition, factor_to_involution, tutte_graph
@@ -57,46 +58,36 @@ def involutive_swaps_count() -> int:
     )
 
 
-# y = (1,2,...,6) = (1,2)*(2,3)*(3,4)*(4,5)*(5,6), the right factor first.
-_Y_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
-
-
-def _fold(word) -> int:
-    """The index of the product of a word of Sym_6 element indices."""
+@lru_cache(maxsize=None)
+def _vertex_elements() -> dict:
+    """The Sym_6 element index of each cage vertex, in vertex order."""
     s = sym(6)
-    product = s.identity
-    for k in word:
-        product = s.mul[product][k]
-    return product
+    element = {"e": edge_to_transposition, "f": factor_to_involution}
+    return {v: s.index[element[v[0]](v[1]).images] for v in tutte_graph().vertices}
 
 
 @lru_cache(maxsize=None)
-def _vertex_elements() -> dict:
-    """The Sym_6 element index of each cage vertex."""
-    s = sym(6)
-    element = {"e": edge_to_transposition, "f": factor_to_involution}
-    indices = {v: s.index[element[v[0]](v[1]).images] for v in tutte_graph().vertices}
-    if _fold([indices[("e", edge)] for edge in _Y_EDGES]) != s.y:
-        raise IntegrityError("the edge word for (1,2,...,6) multiplies out wrong")
-    return indices
+def _tables_by_vertex_images() -> dict:
+    """Each automorphism of Sym_6 keyed by its images of the cage vertex
+    elements, in vertex order."""
+    elements = _vertex_elements().values()
+    return {
+        tuple(t.images[k] for k in elements): t for t in enumerate_automorphisms(6)
+    }
 
 
 def graph_aut_to_group_aut(
     graph: Graph, automorphism: Permutation
 ) -> AutomorphismTable:
-    """The Sym_6 automorphism induced by a cage graph automorphism."""
+    """The Sym_6 automorphism that acts on the cage vertex elements as the
+    graph automorphism acts on the vertices."""
     vertex_map = graph.vertex_map(automorphism)
     _sends_edges_to_factors(vertex_map)
     element = _vertex_elements()
-    x_image = element[vertex_map[("e", (1, 2))]]
-    y_image = _fold([element[vertex_map[("e", edge)]] for edge in _Y_EDGES])
-    table = extend(6, x_image, y_image)
+    key = tuple(element[vertex_map[v]] for v in element)
+    table = _tables_by_vertex_images().get(key)
     if table is None:
-        raise IntegrityError("generator images fail to extend to the group")
-    # Every vertex of both parts must tell the same story as the table.
-    for v, w in vertex_map.items():
-        if table.images[element[v]] != element[w]:
-            raise IntegrityError("cage vertices disagree with the extension")
+        raise IntegrityError("cage vertex map matches no automorphism of Sym_6")
     return table
 
 

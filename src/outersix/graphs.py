@@ -77,11 +77,6 @@ class Graph:
     def index(self, vertex: Hashable) -> int:
         return self._index[vertex]
 
-    def neighbors(self, vertex: Hashable) -> frozenset:
-        return frozenset(
-            self.vertices[k] for k in self.adjacency[self._index[vertex]]
-        )
-
     def degree(self, vertex: Hashable) -> int:
         return len(self.adjacency[self._index[vertex]])
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from outersix import cli, correspondence, graphs, involutions, k6, verify
+from outersix import autgroup, cli, correspondence, graphs, involutions, k6, verify
 from outersix.cli import main
 from outersix.errors import IntegrityError
 from outersix.perms import Permutation
@@ -380,6 +380,49 @@ def test_cage_correspondence_reports_a_part_mixing_map(capsys, monkeypatch):
     assert "Traceback" not in out + err
     failed = [r for r in json.loads(out)["findings"]["checks"] if not r["passed"]]
     assert [r["check"] for r in failed] == ["cage-correspondence"]
+
+
+def test_cage_correspondence_reports_a_map_missing_from_the_tables(
+    capsys, monkeypatch, reset_caches
+):
+    reset_caches(correspondence.correspondence)
+    tables = dict(correspondence._tables_by_vertex_images())
+    del tables[next(iter(tables))]
+    monkeypatch.setattr(correspondence, "_tables_by_vertex_images", lambda: tables)
+    [result] = verify.run_checks(("cage-correspondence",))
+    assert result["passed"] is False
+    assert "matches no automorphism" in result["details"]["error"]
+    code, out, err = run_cli(capsys, ["verify-all", "--json"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    failed = [r for r in json.loads(out)["findings"]["checks"] if not r["passed"]]
+    assert [r["check"] for r in failed] == ["cage-correspondence"]
+
+
+def test_aut_group_sizes_reports_a_missing_conjugator(
+    capsys, monkeypatch, reset_caches
+):
+    reset_caches(autgroup.inner_and_outer)
+    conjugators = autgroup._conjugators
+    trimmed = dict(conjugators(6))  # drop the conjugation by (1,2), an involution
+    del trimmed[next(k for k, g in trimmed.items() if g == autgroup.sym(6).x)]
+    monkeypatch.setattr(
+        autgroup, "_conjugators", lambda n: trimmed if n == 6 else conjugators(n)
+    )
+    [result] = verify.run_checks(("aut-group-sizes",))
+    assert result["passed"] is False
+    assert "|Inn(Sym_6)| = 719" in result["details"]["error"]
+    code, out, err = run_cli(capsys, ["verify-all", "--json"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    failed = [r for r in json.loads(out)["findings"]["checks"] if not r["passed"]]
+    assert [r["check"] for r in failed] == [
+        "outer-orders",
+        "aut-group-sizes",
+        "induced-map-outer",
+        "cage-correspondence",
+        "involutive-counts",
+    ]
 
 
 def test_engine_oracle_reports_a_dropped_automorphism(capsys, monkeypatch):

@@ -98,5 +98,17 @@ def test_swapping_two_edge_vertices_is_an_integrity_error():
     images = list(range(1, graph.n + 1))
     a, b = graph.index(("e", (1, 2))), graph.index(("e", (3, 4)))
     images[a], images[b] = images[b], images[a]
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="matches no automorphism"):
+        graph_aut_to_group_aut(graph, Permutation(images))
+
+
+def test_swapping_two_factor_vertices_is_an_integrity_error():
+    # The edge vertices alone fix the table, so only a key that covers the
+    # factor part as well can refuse this map.
+    graph = tutte_graph()
+    images = list(range(1, graph.n + 1))
+    a = graph.index(("f", ((1, 2), (3, 4), (5, 6))))
+    b = graph.index(("f", ((1, 2), (3, 5), (4, 6))))
+    images[a], images[b] = images[b], images[a]
+    with pytest.raises(IntegrityError, match="matches no automorphism"):
         graph_aut_to_group_aut(graph, Permutation(images))
