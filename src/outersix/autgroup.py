@@ -3,13 +3,14 @@
 Sym_n is generated by x = (1,2) and y = (1,2,...,n), so an automorphism is
 pinned down by the images of x and y.  The heavy work runs on sym(n), one
 indexed kernel: elements, Cayley table, inverses and orders as integers.
-extend(n, x', y') walks a breadth-first spanning tree of the Cayley graph
-on {x, y}: it fills the full image table and checks every edge (g, g*s)
-along the way, so a conflict-free pass onto a bijection certifies the
-homomorphism property exactly, by induction on word length.  The search
-feeds it every candidate pair (an involution for x, an order-n element for
-y).  No sampling, no reliance on pruning heuristics: the one shortcut applied
-before the walk, requiring order(x'*y') == order(x*y), is a necessary
+extend(n, x', y') fills the full image table along a breadth-first spanning
+tree of the Cayley graph on {x, y}, each element from its tree parent.  A
+fill that is a bijection is then certified by is_homomorphism, which checks
+every edge (g, g*s) of the Cayley graph: that certifies the homomorphism
+property exactly, by induction on word length.  The search feeds it every
+candidate pair (an involution for x, an order-n element for y).  No
+sampling, no reliance on pruning heuristics: the one shortcut applied
+before the fill, requiring order(x'*y') == order(x*y), is a necessary
 condition for any automorphism, so nothing valid is skipped.
 
 Automorphisms are stored as full image tables over the element list, which
@@ -80,12 +81,6 @@ class AutomorphismTable:
         self.images = images
 
     @classmethod
-    def from_mapping(cls, n: int, mapping) -> "AutomorphismTable":
-        """Build a table from a Permutation -> Permutation callable."""
-        s = sym(n)
-        return cls(n, tuple(s.index[mapping(p).images] for p in s.elements))
-
-    @classmethod
     def identity(cls, n: int) -> "AutomorphismTable":
         return cls(n, range(len(group_elements(n))))
 
@@ -151,21 +146,24 @@ class AutomorphismTable:
 
 
 @lru_cache(maxsize=None)
-def _spanning_order(n: int) -> tuple[int, ...]:
-    """Element indices in breadth-first order from the identity along the
-    generator edges g -> g*x, g -> g*y."""
+def _spanning_tree(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Breadth-first spanning tree from the identity along the generator
+    edges g -> g*x, g -> g*y: one (g, generator, g*generator) per element
+    other than the identity, each g reached before its children."""
     s = sym(n)
-    order = [s.identity]
+    tree = []
     seen = {s.identity}
+    order = [s.identity]
     for g in order:  # visits the elements appended below as well
         for gen in (s.x, s.y):
             h = s.mul[g][gen]
             if h not in seen:
                 seen.add(h)
                 order.append(h)
+                tree.append((g, gen, h))
     if len(order) != len(s.elements):
         raise IntegrityError("generators fail to generate the group")
-    return tuple(order)
+    return tuple(tree)
 
 
 def extend(n: int, x_image: int, y_image: int) -> AutomorphismTable | None:
@@ -173,20 +171,14 @@ def extend(n: int, x_image: int, y_image: int) -> AutomorphismTable | None:
     indices, or None when no automorphism does."""
     s = sym(n)
     mul = s.mul
-    images = [-1] * len(s.elements)
-    images[s.identity] = s.identity
-    for g in _spanning_order(n):
-        g_image = images[g]
-        for gen, gen_image in ((s.x, x_image), (s.y, y_image)):
-            h = mul[g][gen]
-            expected = mul[g_image][gen_image]
-            if images[h] < 0:
-                images[h] = expected
-            elif images[h] != expected:
-                return None
+    gen_image = {s.x: x_image, s.y: y_image}
+    images = [s.identity] * len(s.elements)  # the tree fills all the others
+    for g, gen, h in _spanning_tree(n):
+        images[h] = mul[images[g]][gen_image[gen]]
     if len(set(images)) != len(images):
         return None
-    return AutomorphismTable(n, images)
+    table = AutomorphismTable(n, images)
+    return table if table.is_homomorphism() else None
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +246,9 @@ def inner_witness(table: AutomorphismTable) -> Permutation | None:
 
 
 @lru_cache(maxsize=None)
-def inner_and_outer(n: int) -> tuple[tuple[AutomorphismTable, ...], tuple[AutomorphismTable, ...]]:
+def inner_and_outer(
+    n: int,
+) -> tuple[tuple[AutomorphismTable, ...], tuple[AutomorphismTable, ...]]:
     """The enumerated automorphisms split by inner witness existence."""
     inner, outer = [], []
     for table in enumerate_automorphisms(n):

@@ -115,7 +115,7 @@ def _icosa_labelings() -> dict:
                 "index": c,
                 "representative": list(table.class_reps[c]),
                 "orbit_size": 60,
-                "face_triples": sorted(sorted(t) for t in table.face_triples(c)),
+                "face_triples": sorted(sorted(t) for t in table.class_triples[c]),
             }
             for c in range(12)
         ],

@@ -16,7 +16,8 @@ coloring, and reading which class went where is left to the caller (the
 cage's edge and factor parts are read in correspondence.py).
 
 A brute-force factorial sweep over all vertex bijections is included as the
-independent oracle for small graphs.
+independent oracle for small graphs.  Distances, girth and bipartition all
+read the layers of one breadth-first traversal.
 """
 
 from __future__ import annotations
@@ -205,68 +206,55 @@ def brute_force_automorphisms(
     return _as_permutations(found)
 
 
-def girth(graph: Graph):
-    """Length of a shortest cycle, or math.inf for a forest.
-
-    Breadth-first search from every root; the shortest cycle through the
-    root closes at a non-tree edge, and minimizing over roots is exact.
-    """
-    best = math.inf
-    adjacency = graph.adjacency
-    for root in range(graph.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            if dist[v] * 2 >= best:
-                break
-            for w in adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif parent[v] != w:
-                    best = min(best, dist[v] + dist[w] + 1)
-    return best
-
-
-def distances(graph: Graph, source: Hashable) -> dict:
-    """Breadth-first distance from source to each vertex it reaches."""
-    adjacency = graph.adjacency
-    start = graph.index(source)
-    dist = {start: 0}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+def _breadth_first(adjacency, root: int) -> dict[int, int]:
+    """Distance from root to each vertex index it reaches, in breadth-first order."""
+    dist = {root: 0}
+    queue = [root]
+    for v in queue:  # visits the vertices appended below as well
         for w in adjacency[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
+    return dist
+
+
+def distances(graph: Graph, source: Hashable) -> dict:
+    """Breadth-first distance from source to each vertex it reaches."""
+    dist = _breadth_first(graph.adjacency, graph.index(source))
     return {graph.vertices[v]: d for v, d in dist.items()}
+
+
+def girth(graph: Graph):
+    """Length of a shortest cycle, or math.inf for a forest.
+
+    Read off the distance layers from every root: an edge inside layer d
+    closes a cycle of length at most 2d+1, and a vertex with two neighbors
+    in layer d-1 one of length at most 2d.  A shortest cycle through the
+    root shows up at its exact length, so minimizing over roots is exact.
+    """
+    adjacency = graph.adjacency
+    best = math.inf
+    for root in range(graph.n):
+        layer = _breadth_first(adjacency, root)
+        for v, d in layer.items():
+            if any(layer[w] == d for w in adjacency[v]):
+                best = min(best, 2 * d + 1)
+            if sum(1 for w in adjacency[v] if layer[w] == d - 1) >= 2:
+                best = min(best, 2 * d)
+    return best
 
 
 def is_bipartite(graph: Graph) -> tuple[frozenset, frozenset] | None:
     """The two parts when the graph is bipartite and connected pieces allow
-    a consistent 2-coloring, otherwise None."""
+    a consistent 2-coloring, otherwise None.  A vertex goes by the parity of
+    its layer from the first vertex of its piece, which is in the first part."""
     side: dict[int, int] = {}
     for root in range(graph.n):
-        if root in side:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in graph.adjacency[v]:
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
+        if root not in side:
+            layer = _breadth_first(graph.adjacency, root)
+            side.update((v, d % 2) for v, d in layer.items())
+    if any(side[v] == side[w] for v in side for w in graph.adjacency[v]):
+        return None
     return (
         frozenset(graph.vertices[v] for v, s in side.items() if s == 0),
         frozenset(graph.vertices[v] for v, s in side.items() if s == 1),

@@ -8,17 +8,18 @@ rotation classes.  Each class is recognizable by the 10 label triples its
 20 faces wear, the complementary 10 triples belong to a partner class, and
 the 6 partner pairs (lettered a..f) are a second six-element set on which
 Sym_6 acts.  Relabeling by sigma permutes the 12 classes, hence the 6
-letters: that map phi is a bijective homomorphism sending transpositions
-to triple involutions, so composing with any identification of letters
-with points yields an automorphism of Sym_6 that no conjugation realizes.
+letters: that map phi, built once in one pass over the 720 relabelings, is
+a bijective homomorphism sending transpositions to triple involutions, so
+composing with any identification of letters with points yields an
+automorphism of Sym_6 that no conjugation realizes.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .autgroup import AutomorphismTable, conjugation_table
+from .autgroup import AutomorphismTable, conjugation_table, sym
 from .errors import IntegrityError
 from .graphs import Graph, automorphism_group, distances
 from .perms import Permutation, enumerate_sym
@@ -79,7 +80,9 @@ class IcosahedronModel:
                 if not g.has_edge(a, b):
                     raise IntegrityError(f"face {sorted(face)} is not a clique")
         a = self.antipode
-        if sorted(a) != list(self.vertices) or any(a[a[v]] != v or a[v] == v for v in a):
+        if sorted(a) != list(self.vertices) or any(
+            a[a[v]] != v or a[v] == v for v in a
+        ):
             raise IntegrityError("antipode is not a fixed-point-free involution")
         for v in self.vertices:
             if distances(g, v).get(a[v]) != 3:
@@ -230,7 +233,7 @@ class DualPairTable:
             )
 
         self.class_triples = tuple(
-            self._face_triples(rep) for rep in self.class_reps
+            self._label_triples(rep, self.model.faces) for rep in self.class_reps
         )
         all_triples = frozenset(
             frozenset(t) for t in itertools.combinations((1, 2, 3, 4, 5, 6), 3)
@@ -270,21 +273,18 @@ class DualPairTable:
         for letter_index, (c, d) in enumerate(self.dual_pairs, start=1):
             self.letter_of_class[c] = letter_index
             self.letter_of_class[d] = letter_index
-        self._phi_cache: dict[tuple, Permutation] = {}
 
-    def _face_triples(self, labeling) -> frozenset[frozenset[int]]:
+    def _label_triples(self, labeling, triangles) -> frozenset[frozenset[int]]:
+        """The label triples a labeling puts on the given vertex triangles."""
         label = {
             v: labeling[self._pair_of_vertex[v]] for v in self.model.vertices
         }
         triples = frozenset(
-            frozenset(label[v] for v in face) for face in self.model.faces
+            frozenset(label[v] for v in triangle) for triangle in triangles
         )
         if any(len(t) != 3 for t in triples):
-            raise IntegrityError("a face repeats a label")
+            raise IntegrityError("a triangle repeats a label")
         return triples
-
-    def face_triples(self, class_index: int) -> frozenset[frozenset[int]]:
-        return self.class_triples[class_index]
 
     def dual_class(self, class_index: int) -> int:
         return self.dual[class_index]
@@ -292,13 +292,8 @@ class DualPairTable:
     def dual_class_via_skeleton(self, class_index: int) -> int:
         """Partner class read off the distance-2 skeleton, an independent
         route that never looks at triple complements."""
-        labeling = self.class_reps[class_index]
-        label = {
-            v: labeling[self._pair_of_vertex[v]] for v in self.model.vertices
-        }
-        triples = frozenset(
-            frozenset(label[v] for v in triangle)
-            for triangle in _distance2_triangles()
+        triples = self._label_triples(
+            self.class_reps[class_index], _distance2_triangles()
         )
         partner = self._class_by_triples.get(triples)
         if partner is None:
@@ -307,40 +302,38 @@ class DualPairTable:
             )
         return partner
 
-    def class_permutation(self, sigma: Permutation) -> tuple[int, ...]:
-        """How relabeling by sigma permutes the 12 rotation classes."""
-        if sigma.degree != 6:
-            raise ValueError("relabelings act on 6 labels")
-        images = []
-        for rep in self.class_reps:
-            relabeled = tuple(sigma(v) for v in rep)
-            images.append(self.class_of[relabeled])
-        if sorted(images) != list(range(12)):
-            raise IntegrityError("relabeling scrambles the rotation classes")
-        return tuple(images)
+    @cached_property
+    def _phi(self) -> dict[tuple[int, ...], Permutation]:
+        """phi(sigma) for all 720 relabelings sigma in lexicographic order, keyed
+        by image tuple: how sigma permutes the classes, read on the letters."""
+        phi = {}
+        for sigma in enumerate_sym(6):
+            class_images = [
+                self.class_of[tuple(sigma(v) for v in rep)] for rep in self.class_reps
+            ]
+            if sorted(class_images) != list(range(12)):
+                raise IntegrityError("relabeling scrambles the rotation classes")
+            letter_images = [0] * 6
+            for c, image in enumerate(class_images):
+                src = self.letter_of_class[c]
+                dst = self.letter_of_class[image]
+                if letter_images[src - 1] not in (0, dst):
+                    raise IntegrityError(
+                        "relabeling sends one dual pair onto two different pairs"
+                    )
+                letter_images[src - 1] = dst
+            phi[sigma.images] = Permutation(letter_images)
+        return phi
 
     def pair_permutation(self, sigma: Permutation) -> Permutation:
         """The letter permutation phi(sigma) induced on the 6 dual pairs."""
-        cached = self._phi_cache.get(sigma.images)
-        if cached is not None:
-            return cached
-        class_images = self.class_permutation(sigma)
-        letter_images = [0] * 6
-        for c in range(12):
-            src = self.letter_of_class[c]
-            dst = self.letter_of_class[class_images[c]]
-            if letter_images[src - 1] not in (0, dst):
-                raise IntegrityError(
-                    "relabeling sends one dual pair onto two different pairs"
-                )
-            letter_images[src - 1] = dst
-        result = Permutation(letter_images)
-        self._phi_cache[sigma.images] = result
-        return result
+        if sigma.degree != 6:
+            raise ValueError("relabelings act on 6 labels")
+        return self._phi[sigma.images]
 
     def pair_permutation_table(self) -> tuple[Permutation, ...]:
         """phi on all 720 relabelings, aligned with lexicographic order."""
-        return tuple(self.pair_permutation(s) for s in enumerate_sym(6))
+        return tuple(self._phi.values())
 
     def transposition_images(self) -> dict[tuple[int, int], Permutation]:
         return {
@@ -353,11 +346,9 @@ class DualPairTable:
         obtained by identifying letters with points through ident."""
         if ident.degree != 6:
             raise ValueError("an identification matches 6 letters with 6 points")
-        ident_inverse = ident.inverse()
-        return AutomorphismTable.from_mapping(
-            6,
-            lambda sigma: ident * self.pair_permutation(sigma) * ident_inverse,
-        )
+        inverse, index = ident.inverse(), sym(6).index
+        images = [index[(ident * phi * inverse).images] for phi in self._phi.values()]
+        return AutomorphismTable(6, images)
 
     def all_outer_automorphisms(self) -> frozenset[AutomorphismTable]:
         """One automorphism per identification of letters with points: the

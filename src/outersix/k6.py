@@ -1,12 +1,12 @@
 """Edge and factor geometry of the complete graph on six vertices.
 
 The 15 edges of K6 correspond to the 15 transpositions of Sym_6 and the 15
-one-factors (perfect matchings) to the 15 triple involutions.  Each edge
-lies in exactly 3 factors, each factor extends to exactly 2 of the 6
-one-factorizations, and the point-line structure with edges as points and
-factors as lines is a generalized quadrangle of order (2,2): three points
-per line, three lines per point, and for a point off a line a unique line
-through the point meeting it.  The bipartite incidence graph of that
+one-factors (perfect matchings) to the 15 triple involutions.  Each factor
+extends to exactly 2 of the 6 one-factorizations, and the point-line
+structure with edges as points and factors as lines is a generalized
+quadrangle of order (2,2): three points per line, three lines per point (so
+each edge lies in exactly 3 factors), and for a point off a line a unique
+line through the point meeting it.  The bipartite incidence graph of that
 structure is cubic on 30 vertices with girth 8.
 """
 
@@ -55,18 +55,6 @@ def stars() -> dict[int, frozenset[Edge]]:
     return {
         i: frozenset(e for e in edges() if i in e) for i in POINTS
     }
-
-
-@lru_cache(maxsize=None)
-def factors_through() -> dict[Edge, tuple[Factor, ...]]:
-    """Each edge with the factors containing it (exactly 3 apiece)."""
-    table = {
-        e: tuple(f for f in factors() if e in f) for e in edges()
-    }
-    bad = {e: len(fs) for e, fs in table.items() if len(fs) != 3}
-    if bad:
-        raise IntegrityError(f"edges without exactly 3 factors: {bad}")
-    return table
 
 
 @lru_cache(maxsize=None)
@@ -136,11 +124,7 @@ class IncidenceStructure:
     def dual(self) -> "IncidenceStructure":
         """Swap the roles: old lines become points, old points lines."""
         return IncidenceStructure(
-            self.lines,
-            (
-                frozenset(line for line in self.lines if point in line)
-                for point in self.points
-            ),
+            self.lines, (self.lines_through(point) for point in self.points)
         )
 
 

@@ -213,7 +213,8 @@ def enumerate_sym(n: int) -> Iterator[Permutation]:
     """Yield all n! elements of Sym_n in lexicographic order of image tuples."""
     if not 1 <= n <= MAX_ENUMERATION_DEGREE:
         raise ValueError(
-            f"full enumeration supported for 1 <= n <= {MAX_ENUMERATION_DEGREE}, got {n}"
+            "full enumeration supported for 1 <= n <= "
+            f"{MAX_ENUMERATION_DEGREE}, got {n}"
         )
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation._raw(images)

@@ -2,7 +2,9 @@
 
 Each check returns a details dict and raises CheckFailed (or lets an
 IntegrityError escape) when its claim does not hold.  run_checks collects
-outcomes without aborting, so a broken claim is reported, not crashed on.
+outcomes without aborting, so a broken claim is reported, not crashed on;
+any other exception a check raises is that check's failure, reported as
+"{type}: {message}".
 """
 
 from __future__ import annotations
@@ -107,11 +109,11 @@ def check_labeled_icosahedra() -> dict:
     _demand(len(icosahedron.rotation_group()) == 60, "rotation count")
     _demand(len(icosahedron.full_symmetry_group()) == 120, "symmetry count")
     for c in range(12):
-        triples = table.face_triples(c)
+        triples = table.class_triples[c]
         _demand(len(triples) == 10, f"class {c} wears {len(triples)} triples")
         partner = table.dual_class(c)
         _demand(partner != c and table.dual_class(partner) == c, "pairing broken")
-        _demand(not (triples & table.face_triples(partner)), "pair triples overlap")
+        _demand(not (triples & table.class_triples[partner]), "pair triples overlap")
         _demand(
             table.dual_class_via_skeleton(c) == partner,
             f"distance-2 route disagrees at class {c}",
@@ -150,10 +152,6 @@ def check_k6_dictionary() -> dict:
         all(len(s) == 5 for s in k6.stars().values()), "a star misses 5 edges"
     )
     _demand(len(k6.factorizations()) == 6, "factorizations")
-    _demand(
-        all(len(v) == 3 for v in k6.factors_through().values()),
-        "an edge misses 3 factors",
-    )
     _demand(
         all(len(k6.factorizations_through(f)) == 2 for f in k6.factors()),
         "a factor misses 2 factorizations",
@@ -361,10 +359,10 @@ def run_checks(names: tuple[str, ...] | None = None) -> list[dict]:
         if wanted is not None and name not in wanted:
             continue
         try:
-            details = check()
-            results.append({"check": name, "passed": True, "details": details})
+            details, passed = check(), True
         except (CheckFailed, IntegrityError) as failure:
-            results.append(
-                {"check": name, "passed": False, "details": {"error": str(failure)}}
-            )
+            details, passed = {"error": str(failure)}, False
+        except Exception as failure:  # a fault in one check fails that check only
+            details, passed = {"error": f"{type(failure).__name__}: {failure}"}, False
+        results.append({"check": name, "passed": passed, "details": details})
     return results

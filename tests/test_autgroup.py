@@ -115,6 +115,15 @@ def test_extend_rebuilds_conjugations_and_rejects_the_rest(n):
         assert extend(n, table.images[s.x], table.images[s.y]) == table
 
 
+def test_extend_returns_only_a_certified_table(monkeypatch):
+    s = sym(5)
+    table = conjugation_table(5, Permutation.from_cycles(5, [(1, 3, 4)]))
+    x_image, y_image = table.images[s.x], table.images[s.y]
+    assert extend(5, x_image, y_image) == table
+    monkeypatch.setattr(AutomorphismTable, "is_homomorphism", lambda self: False)
+    assert extend(5, x_image, y_image) is None
+
+
 def test_degree_six_counts():
     aut = enumerate_automorphisms(6)
     assert len(aut) == 1440
@@ -155,8 +164,10 @@ def test_inner_witness_rejects_a_table_that_differs_off_the_generators():
     images = list(conjugation_table(6, g).images)
     a, b = sorted(set(range(len(images))) - {s.x, s.y})[:2]
     images[a], images[b] = images[b], images[a]
+    table = AutomorphismTable(6, images)
+    assert not table.is_homomorphism()
     with pytest.raises(IntegrityError):
-        inner_witness(AutomorphismTable(6, images))
+        inner_witness(table)
 
 
 def test_outer_has_no_witness():

@@ -445,6 +445,42 @@ def test_engine_oracle_reports_a_dropped_automorphism(capsys, monkeypatch):
     assert "engine-oracle" in [r["check"] for r in checks if not r["passed"]]
 
 
+def test_an_unexpected_exception_fails_only_its_check(capsys, monkeypatch):
+    def broken(factor):
+        raise ValueError("planted factorization fault")
+
+    monkeypatch.setattr(k6, "factorizations_through", broken)
+    [result] = verify.run_checks(("k6-dictionary",))
+    assert result == {
+        "check": "k6-dictionary",
+        "passed": False,
+        "details": {"error": "ValueError: planted factorization fault"},
+    }
+    code, out, err = run_cli(capsys, ["verify-all", "--json"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    failed = [r for r in json.loads(out)["findings"]["checks"] if not r["passed"]]
+    assert [r["check"] for r in failed] == ["k6-dictionary"]
+
+
+def test_k6_dictionary_reports_an_edge_on_the_wrong_lines(capsys, monkeypatch):
+    doily = k6.doily()
+    lines = [set(line) for line in doily.lines]
+    moved = next(line for line in lines if (1, 2) in line)
+    moved.remove((1, 2))
+    moved.add((1, 3))
+    planted = k6.IncidenceStructure(doily.points, lines)
+    monkeypatch.setattr(k6, "doily", lambda: planted)
+    [result] = verify.run_checks(("k6-dictionary",))
+    assert result["passed"] is False
+    assert "point degree axiom" in result["details"]["error"]
+    code, out, err = run_cli(capsys, ["verify-all", "--json"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    failed = [r for r in json.loads(out)["findings"]["checks"] if not r["passed"]]
+    assert [r["check"] for r in failed] == ["k6-dictionary"]
+
+
 def test_run_checks_subset(capsys):
     results = verify.run_checks(["outer-orders"])
     assert [r["check"] for r in results] == ["outer-orders"]

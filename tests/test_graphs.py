@@ -214,3 +214,49 @@ def test_bipartite_detection():
     assert is_bipartite(complete(3)) is None
     even = Graph(range(6), [(v, (v + 1) % 6) for v in range(6)])
     assert is_bipartite(even) is not None
+
+
+def _shortest_cycle_by_exhaustion(graph):
+    """Oracle: the least k for which k distinct vertices, in cyclic order,
+    are joined consecutively; math.inf when no k works."""
+    adjacency = graph.adjacency
+    for k in range(3, graph.n + 1):
+        for cycle in itertools.permutations(range(graph.n), k):
+            if cycle[0] == min(cycle) and all(
+                cycle[i - 1] in adjacency[cycle[i]] for i in range(k)
+            ):
+                return k
+    return math.inf
+
+
+def _parts_by_exhaustion(graph):
+    """Oracle: the lexicographically first proper 2-coloring as two parts,
+    so each connected piece's first vertex is in the first part."""
+    for coloring in itertools.product((0, 1), repeat=graph.n):
+        if all(coloring[u] != coloring[v] for u, v in graph.edges()):
+            return tuple(
+                frozenset(v for v in range(graph.n) if coloring[v] == side)
+                for side in (0, 1)
+            )
+    return None
+
+
+def test_girth_and_bipartition_match_exhaustive_search_on_random_graphs():
+    rng = random.Random(0x6127)
+    girths, disconnected = set(), 0
+    for _ in range(400):
+        # Sparse random edges, plus a cycle through a random vertex sample so
+        # that long shortest cycles of both parities come up.
+        n, density = rng.randint(1, 7), rng.random() ** 3
+        pairs = itertools.combinations(range(n), 2)
+        edges = {e for e in pairs if rng.random() < density}
+        ring = rng.sample(range(n), rng.randint(0, n))
+        if len(ring) >= 3:
+            edges |= {tuple(sorted((ring[i - 1], ring[i]))) for i in range(len(ring))}
+        graph = Graph(range(n), sorted(edges))
+        assert girth(graph) == _shortest_cycle_by_exhaustion(graph), edges
+        assert is_bipartite(graph) == _parts_by_exhaustion(graph), edges
+        girths.add(girth(graph))
+        disconnected += len(distances(graph, 0)) < n
+    assert girths == {3, 4, 5, 6, 7, math.inf}
+    assert disconnected >= 100

@@ -91,12 +91,12 @@ def test_face_triples_and_dual_pairing():
     }
     assert len(all_triples) == 20
     for c in range(12):
-        triples = t.face_triples(c)
+        triples = t.class_triples[c]
         assert len(triples) == 10
         partner = t.dual_class(c)
         assert partner != c
         assert t.dual_class(partner) == c
-        assert t.face_triples(partner) == all_triples - triples
+        assert t.class_triples[partner] == all_triples - triples
     assert len(t.dual_pairs) == 6
     letters = sorted(t.letter_of_class.values())
     assert letters == sorted(list(range(1, 7)) * 2)
@@ -107,7 +107,7 @@ def test_triples_are_constant_on_orbits():
     rng = random.Random(44)
     for labeling in rng.sample(t.labelings, 30):
         c = t.class_of[labeling]
-        assert t._face_triples(labeling) == t.face_triples(c)
+        assert t._label_triples(labeling, t.model.faces) == t.class_triples[c]
 
 
 def test_dual_via_skeleton_matches_complement_route():

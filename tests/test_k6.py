@@ -21,7 +21,6 @@ from outersix.k6 import (
     factorizations,
     factorizations_through,
     factors,
-    factors_through,
     permute_edge,
     permute_factor,
     permute_factorization,
@@ -47,9 +46,12 @@ def test_factors_partition_points():
 
 
 def test_each_edge_in_three_factors():
-    through = factors_through()
-    assert set(through) == set(edges())
-    assert all(len(fs) == 3 for fs in through.values())
+    structure = doily()
+    assert structure.points == edges()
+    for e in edges():
+        through = structure.lines_through(e)
+        assert len(through) == 3
+        assert set(through) == {frozenset(f) for f in factors() if e in f}
 
 
 def test_each_factor_in_two_factorizations():
