@@ -286,9 +286,6 @@ class DualPairTable:
             raise IntegrityError("a triangle repeats a label")
         return triples
 
-    def dual_class(self, class_index: int) -> int:
-        return self.dual[class_index]
-
     def dual_class_via_skeleton(self, class_index: int) -> int:
         """Partner class read off the distance-2 skeleton, an independent
         route that never looks at triple complements."""

@@ -4,12 +4,13 @@ Each check returns a details dict and raises CheckFailed (or lets an
 IntegrityError escape) when its claim does not hold.  run_checks collects
 outcomes without aborting, so a broken claim is reported, not crashed on;
 any other exception a check raises is that check's failure, reported as
-"{type}: {message}".
+"{type}: {message} (at {file}:{line})" of the innermost traceback frame.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 from . import autgroup, correspondence, graphs, icosahedron, involutions, k6
@@ -111,8 +112,8 @@ def check_labeled_icosahedra() -> dict:
     for c in range(12):
         triples = table.class_triples[c]
         _demand(len(triples) == 10, f"class {c} wears {len(triples)} triples")
-        partner = table.dual_class(c)
-        _demand(partner != c and table.dual_class(partner) == c, "pairing broken")
+        partner = table.dual[c]
+        _demand(partner != c and table.dual[partner] == c, "pairing broken")
         _demand(not (triples & table.class_triples[partner]), "pair triples overlap")
         _demand(
             table.dual_class_via_skeleton(c) == partner,
@@ -317,6 +318,9 @@ def check_permutation_algebra() -> dict:
             same_class == (p.cycle_type() == q.cycle_type()),
             "conjugacy at degree 4",
         )
+        for k in p.images:  # the conventions, pointwise: q acts first; q*p*q**-1
+            _demand((p * q)(k) == p(q(k)), "product p * q must apply q first")
+            _demand(p.conjugate(q)(q(k)) == q(p(k)), "p.conjugate(q) must be q*p*q**-1")
 
     rng = random.Random(0x0516)
     elements6 = list(enumerate_sym(6))
@@ -363,6 +367,11 @@ def run_checks(names: tuple[str, ...] | None = None) -> list[dict]:
         except (CheckFailed, IntegrityError) as failure:
             details, passed = {"error": str(failure)}, False
         except Exception as failure:  # a fault in one check fails that check only
-            details, passed = {"error": f"{type(failure).__name__}: {failure}"}, False
+            tb = failure.__traceback__
+            while tb.tb_next is not None:  # down to the frame that raised
+                tb = tb.tb_next
+            place = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+            error = f"{type(failure).__name__}: {failure} (at {place})"
+            details, passed = {"error": error}, False
         results.append({"check": name, "passed": passed, "details": details})
     return results

@@ -93,9 +93,9 @@ def test_face_triples_and_dual_pairing():
     for c in range(12):
         triples = t.class_triples[c]
         assert len(triples) == 10
-        partner = t.dual_class(c)
+        partner = t.dual[c]
         assert partner != c
-        assert t.dual_class(partner) == c
+        assert t.dual[partner] == c
         assert t.class_triples[partner] == all_triples - triples
     assert len(t.dual_pairs) == 6
     letters = sorted(t.letter_of_class.values())
@@ -113,7 +113,7 @@ def test_triples_are_constant_on_orbits():
 def test_dual_via_skeleton_matches_complement_route():
     t = dual_pair_table()
     for c in range(12):
-        assert t.dual_class_via_skeleton(c) == t.dual_class(c)
+        assert t.dual_class_via_skeleton(c) == t.dual[c]
 
 
 def test_pair_permutation_basics():

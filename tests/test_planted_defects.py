@@ -1,0 +1,249 @@
+"""Every check in the claim registry, shown able to fail.
+
+Each row of PLANTS plants one defect and runs `verify-all --json` once: the
+run exits 1 with no traceback, exactly the row's checks fail, in registry
+order, and the row's own check names the broken fact.  A row id is a check
+name, with a /variant suffix for a further row on the same check.  A row
+clears the lru_caches its plant reaches, before the run and after, so a warm
+cache cannot hide the plant and a poisoned one cannot outlive the row; the
+rows then give the same result in any order.
+"""
+
+import json
+
+import pytest
+
+from outersix import autgroup, cli, correspondence, graphs, icosahedron
+from outersix import involutions, k6, verify
+from outersix.perms import Permutation
+
+
+def drop_a_table_at_degree_four(monkeypatch):
+    extend, s = autgroup.extend, autgroup.sym(4)  # the identity: x -> x, y -> y
+    monkeypatch.setattr(
+        autgroup,
+        "extend",
+        lambda n, x, y: None if (n, x, y) == (4, s.x, s.y) else extend(n, x, y),
+    )
+
+
+def drop_a_conjugator(monkeypatch):
+    conjugators = autgroup._conjugators
+    trimmed = dict(conjugators(6))  # drop the conjugation by (1,2), an involution
+    del trimmed[next(k for k, g in trimmed.items() if g == autgroup.sym(6).x)]
+    monkeypatch.setattr(
+        autgroup, "_conjugators", lambda n: trimmed if n == 6 else conjugators(n)
+    )
+
+
+def lose_a_transposition_from_a_star(monkeypatch):
+    star = involutions.star
+
+    def planted(n, i):
+        lost = {Permutation.transposition(n, 1, 2)} if i == 1 else set()
+        return star(n, i) - lost
+
+    monkeypatch.setattr(involutions, "star", planted)
+
+
+def lose_order_three_at_degree_seven(monkeypatch):
+    product_orders = involutions._product_orders
+
+    def planted(n, j):
+        x0, first = product_orders(n, j)
+        if (n, j) == (7, 1):
+            first = {order: y for order, y in first.items() if order != 3}
+        return x0, first
+
+    monkeypatch.setattr(involutions, "_product_orders", planted)
+
+
+def read_the_faces_as_distance_two_triangles(monkeypatch):
+    faces = icosahedron.build_model().faces
+    monkeypatch.setattr(icosahedron, "_distance2_triangles", lambda: faces)
+
+
+def swap_the_antipodes_of_one_and_two(monkeypatch):
+    validate = icosahedron.IcosahedronModel._validate
+
+    def planted(model):
+        a = model.antipode
+        a[1], a[2] = a[2], a[1]
+        a[a[1]], a[a[2]] = 1, 2
+        validate(model)
+
+    monkeypatch.setattr(icosahedron.IcosahedronModel, "_validate", planted)
+
+
+def identify_through_a_conjugation(monkeypatch):
+    inner = autgroup.conjugation_table(6, Permutation.transposition(6, 1, 2))
+    monkeypatch.setattr(
+        icosahedron.DualPairTable, "outer_from_identification", lambda *_: inner
+    )
+
+
+def move_an_edge_to_the_wrong_lines(monkeypatch):
+    doily = k6.doily()
+    lines = [set(line) for line in doily.lines]
+    moved = next(line for line in lines if (1, 2) in line)
+    moved.remove((1, 2))
+    moved.add((1, 3))
+    planted = k6.IncidenceStructure(doily.points, lines)
+    monkeypatch.setattr(k6, "doily", lambda: planted)
+
+
+def raise_in_a_factorization_lookup(monkeypatch):
+    def broken(factor):
+        raise ValueError("planted factorization fault")
+
+    monkeypatch.setattr(k6, "factorizations_through", broken)
+
+
+def mix_the_parts(monkeypatch):
+    pairs = list(correspondence.correspondence())
+    graph = k6.tutte_graph()
+    images = list(range(1, graph.n + 1))
+    a, b = graph.index(("e", (1, 2))), graph.index(("f", ((1, 2), (3, 4), (5, 6))))
+    images[a], images[b] = images[b], images[a]
+    pairs[0] = (Permutation(images), pairs[0][1])
+    monkeypatch.setattr(correspondence, "correspondence", lambda: tuple(pairs))
+
+
+def unmatch_a_cage_map(monkeypatch):
+    tables = dict(correspondence._tables_by_vertex_images())
+    del tables[next(iter(tables))]
+    monkeypatch.setattr(correspondence, "_tables_by_vertex_images", lambda: tables)
+
+
+def drop_an_automorphism(monkeypatch):
+    search = graphs._search
+
+    def planted(graph, colors):
+        found = search(graph, colors)
+        return found[1:] if len(found) > 1 else found
+
+    monkeypatch.setattr(graphs, "_search", planted)
+
+
+def invert_a_three_cycle_wrongly(monkeypatch):
+    inverse, cycle = Permutation.inverse, Permutation.from_cycles(4, [(1, 2, 3)])
+    monkeypatch.setattr(
+        Permutation, "inverse", lambda p: p if p == cycle else inverse(p)
+    )
+
+
+def apply_the_left_factor_first(monkeypatch):
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__", lambda p, q: mul(q, p))
+
+
+# row: (plant, caches to clear, failing checks in registry order, message fragment)
+PLANTS = {
+    "outer-orders": (
+        drop_a_table_at_degree_four,
+        (autgroup.enumerate_automorphisms,),
+        ("outer-orders",),
+        "|Inn| = 24 does not divide |Aut| = 23",
+    ),
+    "aut-group-sizes": (
+        drop_a_conjugator,
+        (autgroup.inner_and_outer,),
+        ("outer-orders", "aut-group-sizes", "induced-map-outer")
+        + ("cage-correspondence", "involutive-counts"),
+        "|Inn(Sym_6)| = 719",
+    ),
+    "stars": (
+        lose_a_transposition_from_a_star,
+        (),
+        ("stars",),
+        "maximal sets differ from stars",
+    ),
+    "spectrum-survey": (
+        lose_order_three_at_degree_seven,
+        (),
+        ("spectrum-survey",),
+        "transposition spectrum at degree 7 is [1, 2]",
+    ),
+    "labeled-icosahedra": (
+        read_the_faces_as_distance_two_triangles,
+        (),
+        ("labeled-icosahedra",),
+        "distance-2 route disagrees",
+    ),
+    "labeled-icosahedra/antipode": (
+        swap_the_antipodes_of_one_and_two,
+        (icosahedron.build_model, icosahedron.dual_pair_table),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "antipode of 1 is not at distance 3",
+    ),
+    "induced-map-outer": (
+        identify_through_a_conjugation, (), ("induced-map-outer",), "phi(C_1) != C_3"
+    ),
+    "k6-dictionary": (
+        move_an_edge_to_the_wrong_lines, (), ("k6-dictionary",), "point degree axiom"
+    ),
+    "k6-dictionary/exception": (
+        raise_in_a_factorization_lookup,
+        (),
+        ("k6-dictionary",),
+        "ValueError: planted factorization fault (at test_planted_defects.py:",
+    ),
+    "cage-correspondence": (
+        mix_the_parts, (), ("cage-correspondence",), "mix of both parts"
+    ),
+    "cage-correspondence/unmatched": (
+        unmatch_a_cage_map,
+        (correspondence.correspondence,),
+        ("cage-correspondence",),
+        "matches no automorphism",
+    ),
+    "involutive-counts": (
+        lambda mp: mp.setattr(correspondence, "involutive_swaps_count", lambda: 35),
+        (),
+        ("involutive-counts",),
+        "cage count 35",
+    ),
+    "engine-oracle": (  # every cache the graph search reaches
+        drop_an_automorphism,
+        (icosahedron.full_symmetry_group, icosahedron.rotation_group)
+        + (icosahedron.dual_pair_table, correspondence.cage_automorphisms)
+        + (correspondence.correspondence,),
+        ("labeled-icosahedra", "induced-map-outer", "cage-correspondence")
+        + ("involutive-counts", "engine-oracle"),
+        "one edge: engine found 1, oracle 2",
+    ),
+    "permutation-algebra": (  # sym(4) reads every inverse, _conjugators(4) sym(4)
+        invert_a_three_cycle_wrongly,
+        (autgroup.sym, autgroup._conjugators),
+        ("permutation-algebra",),
+        "inverses at degree 4",
+    ),
+    "permutation-algebra/convention": (
+        apply_the_left_factor_first,
+        (),
+        ("permutation-algebra",),
+        "product p * q must apply q first",
+    ),
+}
+
+assert {row.split("/")[0] for row in PLANTS} == {
+    name for name, _ in verify.CHECKS
+}, "every registered check needs a planted-defect row"
+
+
+@pytest.mark.parametrize("row", PLANTS)
+def test_a_planted_defect_fails_exactly_its_checks(
+    row, capsys, monkeypatch, reset_caches
+):
+    plant, caches, failing, fragment = PLANTS[row]
+    reset_caches(*caches)
+    plant(monkeypatch)
+    code = cli.main(["verify-all", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in out + err
+    checks = json.loads(out)["findings"]["checks"]
+    assert tuple(c["check"] for c in checks if not c["passed"]) == failing
+    check = row.split("/")[0]
+    error = next(c["details"]["error"] for c in checks if c["check"] == check)
+    assert fragment in error
