@@ -2,7 +2,10 @@
 
 Sym_n is generated by x = (1,2) and y = (1,2,...,n), so an automorphism is
 pinned down by the images of x and y.  The heavy work runs on sym(n), one
-indexed kernel: elements, Cayley table, inverses and orders as integers.
+indexed kernel: elements, inverses and orders as integers, and the Cayley
+table once, column-major: right[h][g] is the index of g*h.  Only the x and
+y columns come from the permutations; each other column is one gather of
+two known ones, right[s*h] = right[h] read at right[s], breadth first.
 extend(n, x', y') fills the full image table along a breadth-first spanning
 tree of the Cayley graph on {x, y}, each element from its tree parent.  A
 fill that is a bijection is then certified by is_homomorphism, which checks
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import IntegrityError
 from .perms import Permutation, enumerate_sym, involution_class
@@ -37,9 +41,9 @@ def group_elements(n: int) -> tuple[Permutation, ...]:
     return tuple(enumerate_sym(n))
 
 
-# The indexed kernel of Sym_n: mul[p][q] is the index of p*q (q applied
+# The indexed kernel of Sym_n: right[h][g] is the index of g*h (h applied
 # first), and x and y are the indices of (1,2) and (1,2,...,n).
-Sym = namedtuple("Sym", "elements index mul inverse order identity x y")
+Sym = namedtuple("Sym", "elements index right inverse order identity x y")
 
 
 @lru_cache(maxsize=None)
@@ -47,19 +51,31 @@ def sym(n: int) -> Sym:
     """The indexed kernel of Sym_n, built once per degree."""
     elements = group_elements(n)
     index = {p.images: k for k, p in enumerate(elements)}
-    mul = tuple(
-        tuple([index[tuple([p.images[v - 1] for v in q.images])] for q in elements])
-        for p in elements
-    )
+    identity = index[Permutation.identity(n).images]
+    x = index[Permutation.transposition(n, 1, 2).images]
+    y = index[Permutation.full_cycle(n).images]
+    steps = [  # each generator with its column as a gather, g -> g*gen
+        (gen, itemgetter(*[
+            index[tuple([p.images[v - 1] for v in elements[gen].images])]
+            for p in elements
+        ]))
+        for gen in (x, y)
+    ]
+    right = [None] * len(elements)
+    right[identity] = tuple(range(len(elements)))
+    walk = [identity]
+    for h in walk:  # visits the elements appended below as well
+        for gen, times_gen in steps:
+            k = right[h][gen]  # gen*h
+            if right[k] is None:
+                right[k] = times_gen(right[h])  # g -> g*gen -> g*gen*h
+                walk.append(k)
+    if any(col is None or col[identity] != h for h, col in enumerate(right)):
+        raise IntegrityError(f"the Cayley table of Sym_{n} breaks e*h == h")
     return Sym(
-        elements=elements,
-        index=index,
-        mul=mul,
+        elements=elements, index=index, right=tuple(right),
         inverse=tuple(index[p.inverse().images] for p in elements),
-        order=tuple(p.order() for p in elements),
-        identity=index[Permutation.identity(n).images],
-        x=index[Permutation.transposition(n, 1, 2).images],
-        y=index[Permutation.full_cycle(n).images],
+        order=tuple(p.order() for p in elements), identity=identity, x=x, y=y,
     )
 
 
@@ -92,9 +108,7 @@ class AutomorphismTable:
         """self after other."""
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        return AutomorphismTable(
-            self.n, tuple(self.images[k] for k in other.images)
-        )
+        return AutomorphismTable(self.n, itemgetter(*other.images)(self.images))
 
     def inverse(self) -> "AutomorphismTable":
         images = [0] * len(self.images)
@@ -113,15 +127,13 @@ class AutomorphismTable:
         )
 
     def is_homomorphism(self) -> bool:
-        """Exact check on every pair (g, s) with s a generator."""
+        """Exact check on every edge (g, g*s), s a generator, a column at once."""
         s = sym(self.n)
-        mul, images = s.mul, self.images
-        for gen in (s.x, s.y):
-            gen_image = images[gen]
-            for g in range(len(images)):
-                if images[mul[g][gen]] != mul[images[g]][gen_image]:
-                    return False
-        return True
+        right, images = s.right, self.images
+        return all(
+            itemgetter(*right[gen])(images) == itemgetter(*images)(right[images[gen]])
+            for gen in (s.x, s.y)
+        )
 
     def generator_images(self) -> tuple[Permutation, Permutation]:
         s = sym(self.n)
@@ -156,7 +168,7 @@ def _spanning_tree(n: int) -> tuple[tuple[int, int, int], ...]:
     order = [s.identity]
     for g in order:  # visits the elements appended below as well
         for gen in (s.x, s.y):
-            h = s.mul[g][gen]
+            h = s.right[gen][g]
             if h not in seen:
                 seen.add(h)
                 order.append(h)
@@ -170,11 +182,10 @@ def extend(n: int, x_image: int, y_image: int) -> AutomorphismTable | None:
     """The automorphism of Sym_n sending x and y to the given element
     indices, or None when no automorphism does."""
     s = sym(n)
-    mul = s.mul
-    gen_image = {s.x: x_image, s.y: y_image}
+    column = {s.x: s.right[x_image], s.y: s.right[y_image]}
     images = [s.identity] * len(s.elements)  # the tree fills all the others
     for g, gen, h in _spanning_tree(n):
-        images[h] = mul[images[g]][gen_image[gen]]
+        images[h] = column[gen][images[g]]
     if len(set(images)) != len(images):
         return None
     table = AutomorphismTable(n, images)
@@ -190,14 +201,14 @@ def enumerate_automorphisms(n: int) -> tuple[AutomorphismTable, ...]:
             f"{MAX_SEARCH_DEGREE}, got {n}"
         )
     s = sym(n)
-    target_order = s.order[s.mul[s.x][s.y]]
+    target_order = s.order[s.right[s.y][s.x]]
     x_candidates = [k for k, o in enumerate(s.order) if o == 2]
     y_candidates = [k for k, o in enumerate(s.order) if o == n]
 
     tables = []
     for xc in x_candidates:
         for yc in y_candidates:
-            if s.order[s.mul[xc][yc]] != target_order:
+            if s.order[s.right[yc][xc]] != target_order:
                 continue
             table = extend(n, xc, yc)
             if table is not None:
@@ -212,19 +223,18 @@ def conjugation_table(n: int, g: Permutation) -> AutomorphismTable:
     """The inner automorphism p -> g * p * g**-1."""
     s = sym(n)
     gi = s.index[g.images]
-    g_inv = s.inverse[gi]
-    row = s.mul[gi]
-    return AutomorphismTable(n, [s.mul[row[p]][g_inv] for p in range(len(row))])
+    at_g_times = itemgetter(*[col[gi] for col in s.right])  # g*p, for each p
+    return AutomorphismTable(n, at_g_times(s.right[s.inverse[gi]]))
 
 
 @lru_cache(maxsize=None)
 def _conjugators(n: int) -> dict[tuple[int, int], int]:
     """(g*x*g**-1, g*y*g**-1) -> g, keeping the first g in element order."""
     s = sym(n)
-    mul, inverse = s.mul, s.inverse
+    right, after_x, after_y = s.right, s.right[s.x], s.right[s.y]
     return {  # built from the last g down, so the first g wins a shared key
-        (mul[mul[g][s.x]][inverse[g]], mul[mul[g][s.y]][inverse[g]]): g
-        for g in reversed(range(len(mul)))
+        (right[s.inverse[g]][after_x[g]], right[s.inverse[g]][after_y[g]]): g
+        for g in reversed(range(len(right)))
     }
 
 

@@ -103,10 +103,29 @@ def test_search_guards():
         sym(7)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_derived_cayley_table_is_composition(n):
+    s = sym(n)
+    assert len(s.right) == len(s.elements)
+    for h, q in enumerate(s.elements):
+        assert [s.right[h][g] for g in range(len(s.elements))] == [
+            s.index[tuple(p.images[v - 1] for v in q.images)] for p in s.elements
+        ]
+
+
+def test_cayley_table_guard_rejects_non_generators(monkeypatch, reset_caches):
+    reset_caches(sym)
+    monkeypatch.setattr(
+        Permutation, "full_cycle", lambda n: Permutation.transposition(n, 1, 3)
+    )
+    with pytest.raises(IntegrityError, match="breaks e\\*h == h"):
+        sym(4)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_extend_rebuilds_conjugations_and_rejects_the_rest(n):
     s = sym(n)
-    y_squared = s.mul[s.y][s.y]
+    y_squared = s.right[s.y][s.y]
     assert extend(n, s.x, y_squared) is None
     assert extend(n, s.identity, s.identity) is None
     rng = random.Random(n)

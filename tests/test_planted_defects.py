@@ -27,6 +27,16 @@ def drop_a_table_at_degree_four(monkeypatch):
     )
 
 
+def swap_two_entries_of_a_derived_column(monkeypatch):
+    sym, s = autgroup.sym, autgroup.sym(6)
+    h = s.index[Permutation.transposition(6, 1, 3).images]  # neither x nor y
+    column, right = list(s.right[h]), list(s.right)
+    column[1], column[2] = column[2], column[1]  # e*h == h still holds
+    right[h] = tuple(column)
+    planted = s._replace(right=tuple(right))
+    monkeypatch.setattr(autgroup, "sym", lambda n: planted if n == 6 else sym(n))
+
+
 def drop_a_conjugator(monkeypatch):
     conjugators = autgroup._conjugators
     trimmed = dict(conjugators(6))  # drop the conjugation by (1,2), an involution
@@ -144,6 +154,15 @@ PLANTS = {
         (autgroup.enumerate_automorphisms,),
         ("outer-orders",),
         "|Inn| = 24 does not divide |Aut| = 23",
+    ),
+    "outer-orders/cayley-table": (  # every cache that reads sym(6).right
+        swap_two_entries_of_a_derived_column,
+        (autgroup._spanning_tree, autgroup.enumerate_automorphisms)
+        + (autgroup._conjugators, autgroup.inner_and_outer)
+        + (correspondence._tables_by_vertex_images, correspondence.correspondence),
+        ("outer-orders", "aut-group-sizes", "induced-map-outer")
+        + ("cage-correspondence", "involutive-counts"),
+        "|Inn| = 720 does not divide |Aut| = 1392",
     ),
     "aut-group-sizes": (
         drop_a_conjugator,
