@@ -4,10 +4,12 @@ Sym_n is generated by x = (1,2) and y = (1,2,...,n), so an automorphism is
 pinned down by the images of x and y.  The heavy work runs on sym(n), one
 indexed kernel: elements, inverses and orders as integers, and the Cayley
 table once, column-major: right[h][g] is the index of g*h.  Only the x and
-y columns come from the permutations; each other column is one gather of
-two known ones, right[s*h] = right[h] read at right[s], breadth first.
-extend(n, x', y') fills the full image table along a breadth-first spanning
-tree of the Cayley graph on {x, y}, each element from its tree parent.  A
+y columns come from the permutations.  The build walks the Cayley graph on
+{x, y} breadth first from the identity, h -> h*s, and makes each new column
+one gather of two known ones, right[h*s] = right[s] read at right[h].  It
+records the tree it walked, and its one guard demands that the walk reached
+every element, that is, that x and y generate.  extend(n, x', y') fills the
+full image table along that tree, each element from its tree parent.  A
 fill that is a bijection is then certified by is_homomorphism, which checks
 every edge (g, g*s) of the Cayley graph: that certifies the homomorphism
 property exactly, by induction on word length.  The search feeds it every
@@ -42,8 +44,10 @@ def group_elements(n: int) -> tuple[Permutation, ...]:
 
 
 # The indexed kernel of Sym_n: right[h][g] is the index of g*h (h applied
-# first), and x and y are the indices of (1,2) and (1,2,...,n).
-Sym = namedtuple("Sym", "elements index right inverse order identity x y")
+# first), x and y are the indices of (1,2) and (1,2,...,n), and tree holds
+# one (h, generator, h*generator) per element other than the identity, in
+# breadth-first order, so each h is the identity or an earlier h*generator.
+Sym = namedtuple("Sym", "elements index right inverse order identity x y tree")
 
 
 @lru_cache(maxsize=None)
@@ -54,28 +58,30 @@ def sym(n: int) -> Sym:
     identity = index[Permutation.identity(n).images]
     x = index[Permutation.transposition(n, 1, 2).images]
     y = index[Permutation.full_cycle(n).images]
-    steps = [  # each generator with its column as a gather, g -> g*gen
-        (gen, itemgetter(*[
+    column = {  # g -> g*gen, from the permutations
+        gen: tuple([
             index[tuple([p.images[v - 1] for v in elements[gen].images])]
             for p in elements
-        ]))
+        ])
         for gen in (x, y)
-    ]
+    }
     right = [None] * len(elements)
     right[identity] = tuple(range(len(elements)))
-    walk = [identity]
+    walk, tree = [identity], []
     for h in walk:  # visits the elements appended below as well
-        for gen, times_gen in steps:
-            k = right[h][gen]  # gen*h
+        for gen in (x, y):
+            k = column[gen][h]  # h*gen
             if right[k] is None:
-                right[k] = times_gen(right[h])  # g -> g*gen -> g*gen*h
+                right[k] = itemgetter(*right[h])(column[gen])  # g -> g*h*gen
                 walk.append(k)
-    if any(col is None or col[identity] != h for h, col in enumerate(right)):
-        raise IntegrityError(f"the Cayley table of Sym_{n} breaks e*h == h")
+                tree.append((h, gen, k))
+    if len(walk) != len(elements):
+        raise IntegrityError(f"(1,2) and (1,...,{n}) fail to generate Sym_{n}")
     return Sym(
         elements=elements, index=index, right=tuple(right),
         inverse=tuple(index[p.inverse().images] for p in elements),
         order=tuple(p.order() for p in elements), identity=identity, x=x, y=y,
+        tree=tuple(tree),
     )
 
 
@@ -92,7 +98,7 @@ class AutomorphismTable:
         images = tuple(images)
         size = len(group_elements(n))
         if len(images) != size or not set(images).issuperset(range(size)):
-            raise ValueError("table is not a bijection of the element list")
+            raise IntegrityError(f"table is not a bijection of the elements of Sym_{n}")
         self.n = n
         self.images = images
 
@@ -157,34 +163,13 @@ class AutomorphismTable:
         return f"<Aut(Sym_{self.n}) (1,2)->{x_img} (1,..,{self.n})->{y_img}>"
 
 
-@lru_cache(maxsize=None)
-def _spanning_tree(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Breadth-first spanning tree from the identity along the generator
-    edges g -> g*x, g -> g*y: one (g, generator, g*generator) per element
-    other than the identity, each g reached before its children."""
-    s = sym(n)
-    tree = []
-    seen = {s.identity}
-    order = [s.identity]
-    for g in order:  # visits the elements appended below as well
-        for gen in (s.x, s.y):
-            h = s.right[gen][g]
-            if h not in seen:
-                seen.add(h)
-                order.append(h)
-                tree.append((g, gen, h))
-    if len(order) != len(s.elements):
-        raise IntegrityError("generators fail to generate the group")
-    return tuple(tree)
-
-
 def extend(n: int, x_image: int, y_image: int) -> AutomorphismTable | None:
     """The automorphism of Sym_n sending x and y to the given element
     indices, or None when no automorphism does."""
     s = sym(n)
     column = {s.x: s.right[x_image], s.y: s.right[y_image]}
     images = [s.identity] * len(s.elements)  # the tree fills all the others
-    for g, gen, h in _spanning_tree(n):
+    for g, gen, h in s.tree:
         images[h] = column[gen][images[g]]
     if len(set(images)) != len(images):
         return None

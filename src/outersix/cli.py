@@ -65,7 +65,7 @@ def _lemma1(n: int) -> tuple[dict, bool]:
 
 def _lemma2(n_max: int) -> tuple[dict, bool]:
     rows = involutions.lemma2_survey(n_max)
-    survivors = [[n, j] for n, j in involutions.surviving_classes(n_max)]
+    survivors = [[r["n"], r["j"]] for r in rows if r["status"] == "surviving"]
     expected = [[6, 3]] if n_max >= 6 else []
     return {"rows": rows, "survivors": survivors}, survivors == expected
 

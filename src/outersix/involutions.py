@@ -193,15 +193,6 @@ def lemma2_survey(n_max: int) -> list[dict]:
     return rows
 
 
-def surviving_classes(n_max: int) -> list[tuple[int, int]]:
-    """The (n, j) pairs with j >= 2 whose spectrum matches C_1's."""
-    return [
-        (row["n"], row["j"])
-        for row in lemma2_survey(n_max)
-        if row["status"] == "surviving"
-    ]
-
-
 def _witness_strings(n: int, j: int, target: int) -> list[str] | None:
     pair = exists_product_of_order(n, j, target)
     if pair is None:

@@ -46,7 +46,6 @@ def check_aut_group_sizes() -> dict:
     _demand(aut == 1440, f"|Aut(Sym_6)| = {aut}")
     _demand(inn == 720, f"|Inn(Sym_6)| = {inn}")
     _demand(len(witnessed) == 720, f"{len(witnessed)} tables have witnesses")
-    _demand(len(outer) == 720, f"{len(outer)} tables lack witnesses")
     coset = {outer[0].compose(b) for b in witnessed}
     _demand(coset == set(outer), "outer tables are not a single coset")
     return {"aut_order": aut, "inner_order": inn, "outer_count": len(outer)}
@@ -59,7 +58,6 @@ def check_stars() -> dict:
         found = involutions.maximal_independent_sets(n)
         expected = frozenset(involutions.stars(n).values())
         _demand(found == expected, f"degree {n}: maximal sets differ from stars")
-        _demand(len(found) == n, f"degree {n}: {len(found)} maximal sets")
         sizes[str(n)] = sorted(len(s) for s in found)
     return {"set_sizes": sizes}
 
@@ -72,9 +70,9 @@ def check_spectrum_survey() -> dict:
             spectrum == {1, 2, 3},
             f"transposition spectrum at degree {n} is {sorted(spectrum)}",
         )
-    survivors = involutions.surviving_classes(11)
-    _demand(survivors == [(6, 3)], f"surviving classes: {survivors}")
     rows = involutions.lemma2_survey(11)
+    survivors = [(r["n"], r["j"]) for r in rows if r["status"] == "surviving"]
+    _demand(survivors == [(6, 3)], f"surviving classes: {survivors}")
     for row in rows:
         n, j = row["n"], row["j"]
         _demand(
@@ -87,7 +85,6 @@ def check_spectrum_survey() -> dict:
                 f"(n={n}, j={j}): no product of order 2j+1",
             )
     eliminated = [(r["n"], r["j"]) for r in rows if r["status"] == "eliminated"]
-    _demand((4, 2) in eliminated, "(4,2) escaped elimination")
     doubles = involutions.product_order_spectrum(4, 2)
     _demand(doubles == {1, 2}, f"degree-4 double spectrum is {sorted(doubles)}")
     return {
@@ -134,14 +131,11 @@ def check_induced_map_is_outer() -> dict:
 
 
 def check_k6_dictionary() -> dict:
-    """15 edges, 15 factors, 6 stars, 6 factorizations, the doily, the cage."""
-    _demand(len(k6.edges()) == 15, "edges")
-    _demand(len(k6.factors()) == 15, "factors")
-    _demand(len(k6.stars()) == 6, "stars")
-    _demand(
-        all(len(s) == 5 for s in k6.stars().values()), "a star misses 5 edges"
-    )
-    _demand(len(k6.factorizations()) == 6, "factorizations")
+    """15 edges, 15 factors, 6 stars, 6 factorizations, the doily, the cage.
+
+    factors() and factorizations() raise IntegrityError on a wrong count, the
+    doily's line size and point degree axioms are the cage's regularity, and
+    the edges, the stars and the cage's size hold by construction."""
     _demand(
         all(len(k6.factorizations_through(f)) == 2 for f in k6.factors()),
         "a factor misses 2 factorizations",
@@ -149,9 +143,6 @@ def check_k6_dictionary() -> dict:
     k6.check_gq_axioms(k6.doily())
     k6.check_gq_axioms(k6.doily().dual())
     cage = k6.tutte_graph()
-    _demand(cage.n == 30, "cage vertex count")
-    _demand(cage.edge_count() == 45, "cage edge count")
-    _demand(all(cage.degree(v) == 3 for v in cage.vertices), "cage regularity")
     _demand(graphs.girth(cage) == 8, f"cage girth {graphs.girth(cage)}")
     _demand(graphs.is_bipartite(cage) is not None, "cage bipartiteness")
     return {"edges": 15, "factors": 15, "stars": 6, "factorizations": 6, "girth": 8}
@@ -162,16 +153,12 @@ def check_cage_correspondence() -> dict:
     preserved exactly for the inner half."""
     pairs = correspondence.correspondence()
     tables = [t for _, t in pairs]
-    _demand(len(pairs) == 1440, f"{len(pairs)} cage automorphisms")
     _demand(len(set(tables)) == 1440, "induced tables collide")
     aut = set(autgroup.enumerate_automorphisms(6))
     _demand(set(tables) == aut, "induced tables miss Aut(Sym_6)")
-    inner, outer = autgroup.inner_and_outer(6)
-    preserving, swapping = set(), set()
-    for a, t in pairs:
-        (swapping if correspondence.swaps_parts(a) else preserving).add(t)
+    inner, _ = autgroup.inner_and_outer(6)
+    preserving = {t for a, t in pairs if not correspondence.swaps_parts(a)}
     _demand(preserving == set(inner), "part-preserving half is not Inn")
-    _demand(swapping == set(outer), "part-swapping half is not the outer coset")
     return {"cage_automorphisms": 1440, "preserving": len(preserving)}
 
 
@@ -181,7 +168,6 @@ def check_involutive_counts() -> dict:
     from_cage = correspondence.involutive_swaps_count()
     _demand(from_tables == 36, f"table count {from_tables}")
     _demand(from_cage == 36, f"cage count {from_cage}")
-    _demand(from_tables == from_cage, "the two counts disagree")
     return {"involutive_outer": from_tables}
 
 
@@ -281,7 +267,6 @@ def oracle_corpus() -> list[tuple[str, Graph, dict | None]]:
 def check_engine_against_oracle() -> dict:
     """Backtrack search equals the factorial sweep on the whole corpus."""
     corpus = oracle_corpus()
-    _demand(len(corpus) >= 20, "corpus too small")
     for name, graph, colors in corpus:
         engine = graphs.automorphism_group(graph, colors)
         oracle = graphs.brute_force_automorphisms(graph, colors)

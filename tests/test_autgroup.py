@@ -46,14 +46,15 @@ def test_table_algebra():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
+    # A table that is no bijection is a broken invariant, not bad input.
+    with pytest.raises(IntegrityError, match="bijection of the elements of Sym_3"):
         AutomorphismTable(3, [0] * 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError):
         AutomorphismTable(3, range(5))
     # Six distinct images that are not exactly the indices 0..5.
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError):
         AutomorphismTable(3, range(1, 7))
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError):
         AutomorphismTable(3, (-1, 0, 1, 2, 3, 4))
     a = AutomorphismTable.identity(3)
     b = AutomorphismTable.identity(4)
@@ -118,8 +119,21 @@ def test_cayley_table_guard_rejects_non_generators(monkeypatch, reset_caches):
     monkeypatch.setattr(
         Permutation, "full_cycle", lambda n: Permutation.transposition(n, 1, 3)
     )
-    with pytest.raises(IntegrityError, match="breaks e\\*h == h"):
+    with pytest.raises(IntegrityError, match="fail to generate Sym_4"):
         sym(4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tree_is_the_breadth_first_walk_along_the_generators(n):
+    s = sym(n)
+    reached = {s.identity}
+    for h, gen, k in s.tree:
+        assert gen in (s.x, s.y)
+        assert k == s.right[gen][h]  # k = h*gen
+        assert h in reached  # the identity or an earlier k
+        assert k not in reached  # no element twice, and never the identity
+        reached.add(k)
+    assert len(reached) == len(s.elements)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -14,7 +14,6 @@ from outersix.involutions import (
     product_order_spectrum,
     star,
     stars,
-    surviving_classes,
 )
 from outersix.perms import Permutation, involution_class, parse_cycles
 
@@ -169,8 +168,13 @@ def test_survey_rows_and_unique_survivor():
     by_key = dict(zip(keys, rows))
     assert by_key[(4, 2)]["status"] == "eliminated"
     assert by_key[(6, 3)]["status"] == "surviving"
-    assert surviving_classes(7) == [(6, 3)]
-    assert surviving_classes(11) == [(6, 3)]
+    for n_max in (7, 11):
+        survivors = [
+            (row["n"], row["j"])
+            for row in lemma2_survey(n_max)
+            if row["status"] == "surviving"
+        ]
+        assert survivors == [(6, 3)]
 
 
 def test_survey_witnesses_verify():

@@ -27,14 +27,24 @@ def drop_a_table_at_degree_four(monkeypatch):
     )
 
 
-def swap_two_entries_of_a_derived_column(monkeypatch):
+def swap_two_entries_of_a_column(monkeypatch, h):
     sym, s = autgroup.sym, autgroup.sym(6)
-    h = s.index[Permutation.transposition(6, 1, 3).images]  # neither x nor y
     column, right = list(s.right[h]), list(s.right)
-    column[1], column[2] = column[2], column[1]  # e*h == h still holds
+    column[1], column[2] = column[2], column[1]
     right[h] = tuple(column)
     planted = s._replace(right=tuple(right))
     monkeypatch.setattr(autgroup, "sym", lambda n: planted if n == 6 else sym(n))
+
+
+def swap_two_entries_of_a_derived_column(monkeypatch):
+    s = autgroup.sym(6)
+    h = s.index[Permutation.transposition(6, 1, 3).images]  # neither x nor y
+    swap_two_entries_of_a_column(monkeypatch, h)
+
+
+def swap_two_entries_of_the_y_squared_column(monkeypatch):
+    s = autgroup.sym(6)
+    swap_two_entries_of_a_column(monkeypatch, s.right[s.y][s.y])
 
 
 def drop_a_conjugator(monkeypatch):
@@ -147,6 +157,11 @@ def apply_the_left_factor_first(monkeypatch):
     monkeypatch.setattr(Permutation, "__mul__", lambda p, q: mul(q, p))
 
 
+READ_SYM6_RIGHT = (  # every cache that reads sym(6).right
+    autgroup.enumerate_automorphisms, autgroup._conjugators, autgroup.inner_and_outer,
+    correspondence._tables_by_vertex_images, correspondence.correspondence,
+)
+
 # row: (plant, caches to clear, failing checks in registry order, message fragment)
 PLANTS = {
     "outer-orders": (
@@ -155,11 +170,9 @@ PLANTS = {
         ("outer-orders",),
         "|Inn| = 24 does not divide |Aut| = 23",
     ),
-    "outer-orders/cayley-table": (  # every cache that reads sym(6).right
+    "outer-orders/cayley-table": (
         swap_two_entries_of_a_derived_column,
-        (autgroup._spanning_tree, autgroup.enumerate_automorphisms)
-        + (autgroup._conjugators, autgroup.inner_and_outer)
-        + (correspondence._tables_by_vertex_images, correspondence.correspondence),
+        READ_SYM6_RIGHT,
         ("outer-orders", "aut-group-sizes", "induced-map-outer")
         + ("cage-correspondence", "involutive-counts"),
         "|Inn| = 720 does not divide |Aut| = 1392",
@@ -170,6 +183,13 @@ PLANTS = {
         ("outer-orders", "aut-group-sizes", "induced-map-outer")
         + ("cage-correspondence", "involutive-counts"),
         "|Inn(Sym_6)| = 719",
+    ),
+    "aut-group-sizes/cayley-column": (
+        swap_two_entries_of_the_y_squared_column,
+        READ_SYM6_RIGHT,
+        ("aut-group-sizes", "induced-map-outer", "cage-correspondence")
+        + ("involutive-counts",),
+        "table is not a bijection of the elements of Sym_6",
     ),
     "stars": (
         lose_a_transposition_from_a_star,
