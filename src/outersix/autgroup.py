@@ -35,7 +35,6 @@ MIN_SEARCH_DEGREE = 3
 MAX_SEARCH_DEGREE = 6
 
 
-@lru_cache(maxsize=None)
 def group_elements(n: int) -> tuple[Permutation, ...]:
     """All of Sym_n in lexicographic order of image tuples."""
     if not 1 <= n <= MAX_SEARCH_DEGREE:
@@ -96,7 +95,7 @@ class AutomorphismTable:
 
     def __init__(self, n: int, images):
         images = tuple(images)
-        size = len(group_elements(n))
+        size = len(sym(n).elements)
         if len(images) != size or not set(images).issuperset(range(size)):
             raise IntegrityError(f"table is not a bijection of the elements of Sym_{n}")
         self.n = n
@@ -104,7 +103,7 @@ class AutomorphismTable:
 
     @classmethod
     def identity(cls, n: int) -> "AutomorphismTable":
-        return cls(n, range(len(group_elements(n))))
+        return cls(n, range(len(sym(n).elements)))
 
     def apply(self, p: Permutation) -> Permutation:
         s = sym(self.n)

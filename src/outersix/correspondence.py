@@ -91,7 +91,6 @@ def graph_aut_to_group_aut(
     return table
 
 
-@lru_cache(maxsize=None)
 def correspondence() -> tuple[tuple[Permutation, AutomorphismTable], ...]:
     """Each cage automorphism with its induced Sym_6 automorphism."""
     graph = tutte_graph()

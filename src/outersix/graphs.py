@@ -26,7 +26,6 @@ import itertools
 import math
 from typing import Hashable, Iterable, Mapping
 
-from .errors import IntegrityError
 from .perms import Permutation
 
 MAX_SEARCH_VERTICES = 64
@@ -156,8 +155,6 @@ def _search(graph: Graph, base_colors: tuple[int, ...]) -> list[tuple[int, ...]]
             image[v], used[w] = -1, False
 
     descend(0)
-    if len(set(found)) != len(found):
-        raise IntegrityError("duplicate automorphisms from distinct leaves")
     return found
 
 

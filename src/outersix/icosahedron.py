@@ -75,10 +75,6 @@ class IcosahedronModel:
         ]
         if len(set(directed)) != 60 or len(directed) != 60:
             raise IntegrityError("orientations are inconsistent across faces")
-        for face in self.faces:
-            for a, b in itertools.combinations(face, 2):
-                if not g.has_edge(a, b):
-                    raise IntegrityError(f"face {sorted(face)} is not a clique")
         a = self.antipode
         if sorted(a) != list(self.vertices) or any(
             a[a[v]] != v or a[v] == v for v in a
@@ -99,7 +95,6 @@ class IcosahedronModel:
         )
 
 
-@lru_cache(maxsize=None)
 def build_model() -> IcosahedronModel:
     return IcosahedronModel()
 
@@ -118,7 +113,6 @@ def preserves_orientation(model: IcosahedronModel, symmetry: Permutation) -> boo
     )
 
 
-@lru_cache(maxsize=None)
 def full_symmetry_group() -> tuple[Permutation, ...]:
     """All 120 skeleton automorphisms (vertex ids equal positions)."""
     model = build_model()
@@ -133,13 +127,10 @@ def full_symmetry_group() -> tuple[Permutation, ...]:
     return symmetries
 
 
-@lru_cache(maxsize=None)
 def rotation_group() -> tuple[Permutation, ...]:
     """The 60 orientation-preserving symmetries."""
-    model = build_model()
-    rotations = tuple(
-        s for s in full_symmetry_group() if preserves_orientation(model, s)
-    )
+    model, symmetries = build_model(), full_symmetry_group()
+    rotations = tuple(s for s in symmetries if preserves_orientation(model, s))
     if len(rotations) != 60:
         raise IntegrityError(f"expected 60 rotations, found {len(rotations)}")
     antipodal = Permutation(
@@ -148,7 +139,7 @@ def rotation_group() -> tuple[Permutation, ...]:
     if antipodal in rotations:
         raise IntegrityError("antipodal map must reverse orientation")
     rotation_set = set(rotations)
-    for s in full_symmetry_group():
+    for s in symmetries:
         if s not in rotation_set and antipodal * s not in rotation_set:
             raise IntegrityError(
                 "antipode composed with a reflection must be a rotation"
@@ -156,7 +147,6 @@ def rotation_group() -> tuple[Permutation, ...]:
     return rotations
 
 
-@lru_cache(maxsize=None)
 def _distance2_triangles() -> tuple[frozenset[int], ...]:
     """The 20 triangles of the graph joining skeleton vertices at distance 2."""
     model = build_model()

@@ -116,10 +116,7 @@ def maximal_independent_sets(n: int) -> frozenset[frozenset[Permutation]]:
         extensions = (t for t in c1 if t not in members)
         if all(not is_valid(members + (t,)) for t in extensions):
             maximal.append(frozenset(members))
-    result = frozenset(maximal)
-    if len(result) != len(maximal):
-        raise IntegrityError("duplicate maximal sets from distinct scans")
-    return result
+    return frozenset(maximal)
 
 
 @lru_cache(maxsize=None)

@@ -27,12 +27,11 @@ Factor = tuple[Edge, Edge, Edge]
 Factorization = tuple[Factor, ...]
 
 
-@lru_cache(maxsize=None)
 def edges() -> tuple[Edge, ...]:
     """The 15 edges of K6 as sorted pairs, lexicographically ordered."""
     return tuple(itertools.combinations(POINTS, 2))
 
-@lru_cache(maxsize=None)
+
 def factors() -> tuple[Factor, ...]:
     """The 15 perfect matchings, each a sorted triple of edges, in sorted
     order: the 2-cycles of the triple involutions of Sym_6."""
@@ -57,7 +56,6 @@ def stars() -> dict[int, frozenset[Edge]]:
     }
 
 
-@lru_cache(maxsize=None)
 def factorizations() -> tuple[Factorization, ...]:
     """The 6 ways to split the 15 edges into 5 disjoint factors.
 
@@ -128,7 +126,6 @@ class IncidenceStructure:
         )
 
 
-@lru_cache(maxsize=None)
 def doily() -> IncidenceStructure:
     """The generalized quadrangle GQ(2,2): K6 edges against one-factors."""
     return IncidenceStructure(edges(), (frozenset(f) for f in factors()))

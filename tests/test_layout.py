@@ -1,6 +1,12 @@
-"""Source layout: the column limit the package and its tests keep."""
+"""Source layout: the column limit the package and its tests keep, and the
+package's caches, each kept because a benchmark workload asks for its
+result again."""
 
+import importlib
+import pkgutil
 from pathlib import Path
+
+import outersix
 
 MAX_COLUMNS = 88
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,3 +23,25 @@ def test_no_line_is_over_the_column_limit():
         if len(line) > MAX_COLUMNS
     ]
     assert long_lines == []
+
+
+CACHES = {
+    "autgroup.sym", "autgroup.enumerate_automorphisms", "autgroup._conjugators",
+    "autgroup.inner_and_outer", "involutions._product_orders",
+    "icosahedron.dual_pair_table", "k6.tutte_graph",
+    "correspondence.cage_automorphisms", "correspondence._vertex_elements",
+    "correspondence._tables_by_vertex_images",
+}
+
+
+def test_the_package_keeps_exactly_the_listed_caches():
+    found = set()
+    for info in pkgutil.iter_modules(outersix.__path__):
+        module = importlib.import_module(f"outersix.{info.name}")
+        found |= {
+            f"{info.name}.{name}"
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_clear")
+            and getattr(value, "__module__", None) == module.__name__
+        }
+    assert found == CACHES

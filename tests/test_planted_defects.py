@@ -159,7 +159,7 @@ def apply_the_left_factor_first(monkeypatch):
 
 READ_SYM6_RIGHT = (  # every cache that reads sym(6).right
     autgroup.enumerate_automorphisms, autgroup._conjugators, autgroup.inner_and_outer,
-    correspondence._tables_by_vertex_images, correspondence.correspondence,
+    correspondence._tables_by_vertex_images,
 )
 
 # row: (plant, caches to clear, failing checks in registry order, message fragment)
@@ -211,7 +211,7 @@ PLANTS = {
     ),
     "labeled-icosahedra/antipode": (
         swap_the_antipodes_of_one_and_two,
-        (icosahedron.build_model, icosahedron.dual_pair_table),
+        (icosahedron.dual_pair_table,),
         ("labeled-icosahedra", "induced-map-outer"),
         "antipode of 1 is not at distance 3",
     ),
@@ -232,7 +232,7 @@ PLANTS = {
     ),
     "cage-correspondence/unmatched": (
         unmatch_a_cage_map,
-        (correspondence.correspondence,),
+        (),
         ("cage-correspondence",),
         "matches no automorphism",
     ),
@@ -244,9 +244,7 @@ PLANTS = {
     ),
     "engine-oracle": (  # every cache the graph search reaches
         drop_an_automorphism,
-        (icosahedron.full_symmetry_group, icosahedron.rotation_group)
-        + (icosahedron.dual_pair_table, correspondence.cage_automorphisms)
-        + (correspondence.correspondence,),
+        (icosahedron.dual_pair_table, correspondence.cage_automorphisms),
         ("labeled-icosahedra", "induced-map-outer", "cage-correspondence")
         + ("involutive-counts", "engine-oracle"),
         "one edge: engine found 1, oracle 2",
