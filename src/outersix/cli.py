@@ -10,6 +10,7 @@ quantity, wall time, goes to stderr.  Exit status: 0 when the claims hold,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -35,13 +36,16 @@ def _permutation_json(p: Permutation) -> dict:
 def _classes(n: int) -> tuple[dict, bool]:
     if not 2 <= n <= 8:
         raise ValueError(f"classes supported for 2 <= n <= 8, got {n}")
-    types = (p.cycle_type() for p in enumerate_sym(n))
-    by_type = Counter(t.count(2) for t in types if set(t) <= {1, 2} and 2 in t)
+    points = list(range(1, n + 1))
+    by_j = Counter(  # p(p(k)) == k: p is the identity (j = 0) or an involution
+        sum(v != k for k, v in enumerate(p, start=1)) // 2  # half the moved points
+        for p in itertools.permutations(points) if [p[v - 1] for v in p] == points
+    )
     rows = []
     consistent = True
     for j in range(1, n // 2 + 1):
         size = involution_class_size(n, j)
-        counted = by_type[j]
+        counted = by_j[j]
         consistent = consistent and size == counted
         rows.append(
             {"j": j, "fixed_points": n - 2 * j, "size": size, "enumerated": counted}

@@ -22,7 +22,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import IntegrityError
-from .perms import Permutation, involution_class
+from .perms import Permutation, involution_class, order_of
 
 # Spectrum sweeps walk one full involution class; degree 11 (where C_5 has
 # 10395 members) is the largest anything downstream asks for.
@@ -134,11 +134,11 @@ def _product_orders(n: int, j: int) -> tuple[Permutation, MappingProxyType]:
             f"spectrum sweep supported for n <= {MAX_SPECTRUM_DEGREE}, got {n}"
         )
     members = involution_class(n, j)
-    x0 = members[0]
+    images = members[0].images
     first: dict[int, Permutation] = {}
     for y in members:
-        first.setdefault((x0 * y).order(), y)
-    return x0, MappingProxyType(first)
+        first.setdefault(order_of([images[v - 1] for v in y.images]), y)
+    return members[0], MappingProxyType(first)
 
 
 def product_order_spectrum(n: int, j: int) -> frozenset[int]:

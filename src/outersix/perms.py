@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegrityError
 
@@ -108,9 +108,12 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition; the right factor is applied first."""
-        if self.degree != other.degree:
+        a, b = self.images, other.images
+        if len(a) != len(b):
             raise ValueError("degree mismatch")
-        return Permutation._raw(tuple(self.images[v - 1] for v in other.images))
+        p = object.__new__(Permutation)
+        p.images = tuple([a[v - 1] for v in b])
+        return p
 
     def inverse(self) -> "Permutation":
         images = [0] * self.degree
@@ -128,20 +131,18 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial disjoint cycles, each rotated to start at its least
         point and sorted by that point; fixed points are omitted."""
-        seen: set[int] = set()
+        images = self.images
+        seen = [False] * (len(images) + 1)
         out: list[tuple[int, ...]] = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
+        for start, point in enumerate(images, start=1):
+            if seen[start] or point == start:
                 continue
             cycle = [start]
-            seen.add(start)
-            point = self(start)
             while point != start:
                 cycle.append(point)
-                seen.add(point)
-                point = self(point)
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
+                seen[point] = True
+                point = images[point - 1]
+            out.append(tuple(cycle))
         return tuple(out)
 
     def cycle_type(self) -> tuple[int, ...]:
@@ -154,13 +155,10 @@ class Permutation:
         return tuple(lengths) + (1,) * (self.degree - sum(lengths))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return order_of(self.images)
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
-
-    def is_involution(self) -> bool:
-        return not self.is_identity() and (self * self).is_identity()
 
     def cycle_string(self) -> str:
         cycles = self.cycles()
@@ -179,6 +177,22 @@ class Permutation:
 
     def __repr__(self) -> str:
         return self.cycle_string()
+
+
+def order_of(images: Sequence[int]) -> int:
+    """The order of the permutation with these images, in one cycle walk."""
+    seen = [False] * len(images)
+    order = 1
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length, point = 0, start
+        while not seen[point]:
+            seen[point] = True
+            point = images[point] - 1
+            length += 1
+        order = math.lcm(order, length)
+    return order
 
 
 def parse_cycles(text: str, n: int) -> Permutation:

@@ -2,12 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from outersix import cli, involutions, k6, verify
 from outersix.cli import main
 from outersix.errors import IntegrityError
+from outersix.perms import enumerate_sym
 
 
 def run_cli(capsys, argv):
@@ -53,6 +55,15 @@ def test_classes_degree_two(capsys):
     _, report, _ = run_json(capsys, ["classes", "--n", "2"])
     assert report["findings"]["rows"] == [
         {"j": 1, "fixed_points": 0, "size": 1, "enumerated": 1}
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_classes_enumerated_matches_a_cycle_type_count(n, capsys):
+    types = Counter(p.cycle_type() for p in enumerate_sym(n))
+    _, report, _ = run_json(capsys, ["classes", "--n", str(n)])
+    assert [r["enumerated"] for r in report["findings"]["rows"]] == [
+        types[(2,) * j + (1,) * (n - 2 * j)] for j in range(1, n // 2 + 1)
     ]
 
 

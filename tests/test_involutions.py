@@ -1,11 +1,13 @@
 """Star characterization and product-order spectra, with brute oracles."""
 
 import itertools
+import math
 
 import pytest
 
 from outersix.errors import IntegrityError
 from outersix.involutions import (
+    _product_orders,
     dependent_closure,
     exists_product_of_order,
     is_transposition,
@@ -121,6 +123,26 @@ def _full_sweep_spectrum(n, j):
 )
 def test_spectrum_matches_full_sweep_oracle(n, j):
     assert product_order_spectrum(n, j) == _full_sweep_spectrum(n, j)
+
+
+def _permutation_route(n, j):
+    """Oracle: the sweep on Permutation products, with the order read off a
+    second walk, the lengths of the product's cycles."""
+    members = involution_class(n, j)
+    first = {}
+    for y in members:
+        first.setdefault(math.lcm(*map(len, (members[0] * y).cycles())), y)
+    return members[0], first
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_sweep_matches_the_permutation_route(n):
+    # The first y per order is each witness pair the lemma2 report prints.
+    for j in range(1, n // 2 + 1):
+        x0, first = _product_orders.__wrapped__(n, j)
+        oracle_x0, oracle_first = _permutation_route(n, j)
+        assert x0 == oracle_x0
+        assert list(first.items()) == list(oracle_first.items())
 
 
 def test_spectrum_frozen_values():

@@ -112,11 +112,20 @@ def test_order_examples():
     assert parse_cycles("(1,2)", 2).order() == 2
     assert parse_cycles("(1,2,3)(4,5)", 6).order() == 6
     assert parse_cycles("(1,2,3,4)(5,6)", 6).order() == 4
-    for p in enumerate_sym(5):
+    for p in enumerate_sym(6):
         power, k = p, 1
         while not power.is_identity():
             power, k = power * p, k + 1
         assert p.order() == k
+
+
+def test_product_of_different_degrees_is_refused():
+    for p, q in (
+        (Permutation.identity(3), Permutation.identity(4)),
+        (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 2)),
+    ):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            p * q
 
 
 def test_order_divides_group_order():
@@ -179,7 +188,7 @@ def test_involution_class_guards():
 
 def test_involutions_have_order_two():
     for p in involution_class(6, 2):
-        assert p.is_involution()
+        assert not p.is_identity() and (p * p).is_identity()
         assert p.order() == 2
         assert p.inverse() == p
 

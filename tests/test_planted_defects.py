@@ -78,6 +78,11 @@ def lose_order_three_at_degree_seven(monkeypatch):
     monkeypatch.setattr(involutions, "_product_orders", planted)
 
 
+def be_off_by_one_in_the_order_walk(monkeypatch):
+    order_of = involutions.order_of  # the name the sweep calls, not Permutation.order
+    monkeypatch.setattr(involutions, "order_of", lambda images: order_of(images) + 1)
+
+
 def read_the_faces_as_distance_two_triangles(monkeypatch):
     faces = icosahedron.build_model().faces
     monkeypatch.setattr(icosahedron, "_distance2_triangles", lambda: faces)
@@ -202,6 +207,12 @@ PLANTS = {
         (),
         ("spectrum-survey",),
         "transposition spectrum at degree 7 is [1, 2]",
+    ),
+    "spectrum-survey/walk": (
+        be_off_by_one_in_the_order_walk,
+        (involutions._product_orders,),
+        ("spectrum-survey",),
+        "transposition spectrum at degree 4 is [2, 3, 4]",
     ),
     "labeled-icosahedra": (
         read_the_faces_as_distance_two_triangles,
