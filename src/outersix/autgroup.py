@@ -14,9 +14,12 @@ fill that is a bijection is then certified by is_homomorphism, which checks
 every edge (g, g*s) of the Cayley graph: that certifies the homomorphism
 property exactly, by induction on word length.  The search feeds it every
 candidate pair (an involution for x, an order-n element for y).  No
-sampling, no reliance on pruning heuristics: the one shortcut applied
-before the fill, requiring order(x'*y') == order(x*y), is a necessary
-condition for any automorphism, so nothing valid is skipped.
+sampling, no reliance on pruning heuristics: the one shortcut before the
+fill asks the words of the Coxeter-Moser presentation, x'*y'**k for
+0 < k < n and x'*y'**-k*x'*y'**k for 0 < k <= n/2, for the orders of the
+same words in x and y.  Every automorphism keeps the order of every word,
+so this is only a necessary condition and nothing valid is skipped; the
+fill, its bijection test and is_homomorphism stay the authority.
 
 Automorphisms are stored as full image tables over the element list, which
 makes composition, comparison and coset bookkeeping plain tuple arithmetic.
@@ -91,15 +94,21 @@ def element_index(n: int, p: Permutation) -> int:
 class AutomorphismTable:
     """An automorphism of Sym_n as a full table of element-index images."""
 
-    __slots__ = ("n", "images")
+    __slots__ = ("n", "images", "_hash")
 
     def __init__(self, n: int, images):
         images = tuple(images)
         size = len(sym(n).elements)
         if len(images) != size or not set(images).issuperset(range(size)):
             raise IntegrityError(f"table is not a bijection of the elements of Sym_{n}")
-        self.n = n
-        self.images = images
+        self.n, self.images, self._hash = n, images, None
+
+    @classmethod
+    def _raw(cls, n: int, images: tuple[int, ...]) -> "AutomorphismTable":
+        # Trusted constructor for images already known to be a bijection.
+        table = object.__new__(cls)
+        table.n, table.images, table._hash = n, images, None
+        return table
 
     @classmethod
     def identity(cls, n: int) -> "AutomorphismTable":
@@ -113,7 +122,7 @@ class AutomorphismTable:
         """self after other."""
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        return AutomorphismTable(self.n, itemgetter(*other.images)(self.images))
+        return AutomorphismTable._raw(self.n, itemgetter(*other.images)(self.images))
 
     def inverse(self) -> "AutomorphismTable":
         images = [0] * len(self.images)
@@ -135,8 +144,9 @@ class AutomorphismTable:
         """Exact check on every edge (g, g*s), s a generator, a column at once."""
         s = sym(self.n)
         right, images = s.right, self.images
+        at_images = itemgetter(*images)
         return all(
-            itemgetter(*right[gen])(images) == itemgetter(*images)(right[images[gen]])
+            itemgetter(*right[gen])(images) == at_images(right[images[gen]])
             for gen in (s.x, s.y)
         )
 
@@ -152,7 +162,9 @@ class AutomorphismTable:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.images))
+        if self._hash is None:  # once per table: the coset bookkeeping rehashes
+            self._hash = hash((self.n, self.images))
+        return self._hash
 
     def __lt__(self, other: "AutomorphismTable") -> bool:
         return self.images < other.images
@@ -172,8 +184,24 @@ def extend(n: int, x_image: int, y_image: int) -> AutomorphismTable | None:
         images[h] = column[gen][images[g]]
     if len(set(images)) != len(images):
         return None
-    table = AutomorphismTable(n, images)
+    table = AutomorphismTable._raw(n, tuple(images))
     return table if table.is_homomorphism() else None
+
+
+def _word_orders(n: int, a: int, b: int) -> tuple[int, ...]:
+    """The orders of a*b**k for 0 < k < n, then of a*b**-k*a*b**k for
+    0 < k <= n/2, for b of order n, walked along the columns of a and b."""
+    s = sym(n)
+    after_a, after_b = s.right[a], s.right[b]
+    words = [a]  # a*b**k for 0 <= k < n, then the n // 2 conjugate words
+    for _ in range(1, n):
+        words.append(after_b[words[-1]])
+    for k in range(1, n // 2 + 1):
+        g = after_a[words[n - k]]  # a*b**-k*a, as b**-k == b**(n-k)
+        for _ in range(k):
+            g = after_b[g]
+        words.append(g)
+    return tuple(s.order[g] for g in words[1:])
 
 
 @lru_cache(maxsize=None)
@@ -185,18 +213,16 @@ def enumerate_automorphisms(n: int) -> tuple[AutomorphismTable, ...]:
             f"{MAX_SEARCH_DEGREE}, got {n}"
         )
     s = sym(n)
-    target_order = s.order[s.right[s.y][s.x]]
+    relations = _word_orders(n, s.x, s.y)  # the first is the order of x*y
     x_candidates = [k for k, o in enumerate(s.order) if o == 2]
     y_candidates = [k for k, o in enumerate(s.order) if o == n]
 
-    tables = []
-    for xc in x_candidates:
-        for yc in y_candidates:
-            if s.order[s.right[yc][xc]] != target_order:
-                continue
-            table = extend(n, xc, yc)
-            if table is not None:
-                tables.append(table)
+    pairs = (
+        (xc, yc) for xc in x_candidates for yc in y_candidates
+        if s.order[s.right[yc][xc]] == relations[0]  # the cheapest test first
+        and _word_orders(n, xc, yc) == relations
+    )
+    tables = [table for xc, yc in pairs if (table := extend(n, xc, yc)) is not None]
     tables.sort()
     if len(set(tables)) != len(tables):
         raise IntegrityError("duplicate automorphisms from distinct candidates")

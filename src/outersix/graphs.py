@@ -184,22 +184,23 @@ def automorphism_group(
 def brute_force_automorphisms(
     graph: Graph, colors: Mapping | None = None
 ) -> tuple[Permutation, ...]:
-    """Oracle: try all |V|! vertex bijections."""
+    """Oracle: try all |V|! vertex bijections, each dropped at its first edge
+    whose image is not an edge (one that keeps every edge sends E onto E)."""
     if graph.n > MAX_BRUTE_FORCE_VERTICES:
         raise ValueError(
             f"brute force supported up to {MAX_BRUTE_FORCE_VERTICES} vertices"
         )
     base = _normalize_colors(graph, colors)
     adjacency = graph.adjacency
+    edges = [(u, v) for u in range(graph.n) for v in adjacency[u] if u < v]
     found = []
     for mapping in itertools.permutations(range(graph.n)):
-        if any(base[v] != base[mapping[v]] for v in range(graph.n)):
-            continue
-        if all(
-            {mapping[w] for w in adjacency[v]} == set(adjacency[mapping[v]])
-            for v in range(graph.n)
-        ):
-            found.append(mapping)
+        for u, v in edges:
+            if mapping[v] not in adjacency[mapping[u]]:
+                break
+        else:
+            if all(base[v] == base[mapping[v]] for v in range(graph.n)):
+                found.append(mapping)
     return _as_permutations(found)
 
 

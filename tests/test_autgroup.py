@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from outersix import autgroup
 from outersix.autgroup import (
     AutomorphismTable,
     class_image,
@@ -19,8 +20,10 @@ from outersix.autgroup import (
     involutive_outer_count,
     out_order,
     sym,
+    _word_orders,
 )
 from outersix.errors import IntegrityError
+from outersix.icosahedron import dual_pair_table
 from outersix.perms import Permutation, involution_class
 
 
@@ -155,6 +158,45 @@ def test_extend_returns_only_a_certified_table(monkeypatch):
     assert extend(5, x_image, y_image) == table
     monkeypatch.setattr(AutomorphismTable, "is_homomorphism", lambda self: False)
     assert extend(5, x_image, y_image) is None
+
+
+@pytest.mark.parametrize("n, survivors", [(3, 6), (4, 24), (5, 120), (6, 1440)])
+def test_relation_filter_drops_only_pairs_the_fill_rejects(
+    n, survivors, monkeypatch, reset_caches
+):
+    s = sym(n)
+    relations = _word_orders(n, s.x, s.y)
+    # the Coxeter-Moser exponents: (xy)**(n-1), (x y**-1 x y)**3, (x y**-k x y**k)**2
+    assert relations[0] == n - 1
+    assert relations[n - 1:] == (3,) + (2,) * (n // 2 - 1)
+    passed = [
+        (xc, yc)
+        for xc, x_order in enumerate(s.order) if x_order == 2
+        for yc, y_order in enumerate(s.order) if y_order == n
+        if s.order[s.right[yc][xc]] == relations[0]
+    ]
+    kept = [pair for pair in passed if _word_orders(n, *pair) == relations]
+    assert len(kept) == survivors
+    assert all(extend(n, *pair) is None for pair in set(passed) - set(kept))
+    fills = []  # the search fills exactly the pairs the filter keeps
+    monkeypatch.setattr(
+        autgroup, "extend", lambda *args: fills.append(args) or extend(*args)
+    )
+    reset_caches(enumerate_automorphisms)
+    assert len(enumerate_automorphisms(n)) == survivors
+    assert sorted(fills) == sorted((n, *pair) for pair in kept)
+
+
+def test_tables_built_without_the_check_pass_it():
+    tables = enumerate_automorphisms(6) + tuple(
+        dual_pair_table().all_outer_automorphisms()
+    )
+    assert len(tables) == 1440 + 720
+    for table in tables:
+        assert sorted(table.images) == list(range(720))
+        checked = AutomorphismTable(6, table.images)
+        assert table == checked
+        assert hash(table) == hash(checked)
 
 
 def test_degree_six_counts():

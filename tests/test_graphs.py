@@ -17,6 +17,7 @@ from outersix.graphs import (
 )
 from outersix.icosahedron import build_model
 from outersix.k6 import tutte_graph
+from outersix.perms import Permutation
 from outersix.verify import oracle_corpus
 
 
@@ -81,6 +82,35 @@ def test_engine_matches_brute_force_on_random_graphs():
         for colors in (None, {v: rng.randrange(2) for v in range(n)}):
             expected = brute_force_automorphisms(graph, colors)
             assert automorphism_group(graph, colors) == expected, (trial, edges, colors)
+
+
+def neighbour_set_sweep(graph, colors=None):
+    """The oracle's earlier definition: every bijection that keeps the colors
+    and sends each vertex's neighbour set onto its image's."""
+    base = (0,) * graph.n if colors is None else [colors[v] for v in graph.vertices]
+    adjacency = graph.adjacency
+    found = []
+    for mapping in itertools.permutations(range(graph.n)):
+        if any(base[v] != base[mapping[v]] for v in range(graph.n)):
+            continue
+        if all(
+            {mapping[w] for w in adjacency[v]} == set(adjacency[mapping[v]])
+            for v in range(graph.n)
+        ):
+            found.append(Permutation(tuple(m + 1 for m in mapping)))
+    return tuple(sorted(found))
+
+
+def test_brute_force_equals_the_neighbour_set_sweep():
+    rng = random.Random(0x0AC1E)
+    shapes = [(n, 0.0) for n in range(1, 7)]  # the edgeless graphs
+    shapes += [(rng.randint(1, 6), rng.random()) for _ in range(120)]
+    for n, density in shapes:
+        pairs = itertools.combinations(range(n), 2)
+        graph = Graph(range(n), [e for e in pairs if rng.random() < density])
+        for colors in (None, {v: rng.randrange(2) for v in range(n)}):
+            expected = neighbour_set_sweep(graph, colors)
+            assert brute_force_automorphisms(graph, colors) == expected
 
 
 def heawood():

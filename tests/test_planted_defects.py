@@ -27,6 +27,18 @@ def drop_a_table_at_degree_four(monkeypatch):
     )
 
 
+def raise_a_relation_order_at_degree_four(monkeypatch):
+    word_orders, s = autgroup._word_orders, autgroup.sym(4)
+
+    def planted(n, a, b):  # the identity pair (x, y) still matches itself
+        orders = word_orders(n, a, b)
+        if (n, a, b) == (4, s.x, s.y):
+            orders = orders[:-1] + (orders[-1] + 1,)
+        return orders
+
+    monkeypatch.setattr(autgroup, "_word_orders", planted)
+
+
 def swap_two_entries_of_a_column(monkeypatch, h):
     sym, s = autgroup.sym, autgroup.sym(6)
     column, right = list(s.right[h]), list(s.right)
@@ -150,6 +162,15 @@ def drop_an_automorphism(monkeypatch):
     monkeypatch.setattr(graphs, "_search", planted)
 
 
+def skip_the_oracle_color_comparison(monkeypatch):
+    brute_force = graphs.brute_force_automorphisms
+    monkeypatch.setattr(
+        graphs,
+        "brute_force_automorphisms",
+        lambda graph, colors=None: brute_force(graph),  # every coloring ignored
+    )
+
+
 def invert_a_three_cycle_wrongly(monkeypatch):
     inverse, cycle = Permutation.inverse, Permutation.from_cycles(4, [(1, 2, 3)])
     monkeypatch.setattr(
@@ -174,6 +195,12 @@ PLANTS = {
         (autgroup.enumerate_automorphisms,),
         ("outer-orders",),
         "|Inn| = 24 does not divide |Aut| = 23",
+    ),
+    "outer-orders/relations": (
+        raise_a_relation_order_at_degree_four,
+        (autgroup.enumerate_automorphisms,),
+        ("outer-orders",),
+        "|Inn| = 24 does not divide |Aut| = 1",
     ),
     "outer-orders/cayley-table": (
         swap_two_entries_of_a_derived_column,
@@ -259,6 +286,12 @@ PLANTS = {
         ("labeled-icosahedra", "induced-map-outer", "cage-correspondence")
         + ("involutive-counts", "engine-oracle"),
         "one edge: engine found 1, oracle 2",
+    ),
+    "engine-oracle/colors": (
+        skip_the_oracle_color_comparison,
+        (),
+        ("engine-oracle",),
+        "square, opposite corners marked: engine found 4, oracle 8",
     ),
     "permutation-algebra": (  # sym(4) reads every inverse, _conjugators(4) sym(4)
         invert_a_three_cycle_wrongly,
