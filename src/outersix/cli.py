@@ -74,6 +74,8 @@ def _lemma2(n_max: int) -> tuple[dict, bool]:
 
 
 def _aut(n: int) -> tuple[dict, bool]:
+    if not 2 <= n <= 6:
+        raise ValueError(f"aut supported for 2 <= n <= 6, got {n}")
     if n == 2:
         return {
             "aut_order": 1,

@@ -32,3 +32,18 @@ def reset_caches():
     yield reset
     for function in functions:
         function.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fails a test that leaves a child process of pytest unreaped, such as
+    a forked check lane that run_checks did not wait for.  POSIX only."""
+    yield
+    if os.name != "posix":
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps one if it has ended
+    except ChildProcessError:
+        return  # no child at all
+    state = "still running" if pid == 0 else f"pid {pid}, ended but not reaped"
+    pytest.fail(f"the test left a child process behind: {state}")

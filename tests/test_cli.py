@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -172,6 +173,13 @@ def test_dot_rejected_for_list_emits(capsys):
     code, _, err = run_cli(capsys, ["k6", "--emit", "factors", "--format", "dot"])
     assert code == 2
     assert "dot" in err
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_aut_names_its_degree_range(n, capsys):
+    code, out, err = run_cli(capsys, ["aut", "--n", str(n)])
+    assert (code, out) == (2, "")
+    assert err == f"error: aut supported for 2 <= n <= 6, got {n}\n"
 
 
 def test_out_of_range_degree_is_a_usage_error(capsys):
@@ -380,6 +388,47 @@ def test_run_checks_subset(capsys):
     assert results[0]["passed"]
     with pytest.raises(ValueError):
         verify.run_checks(["no-such-check"])
+
+
+# verify-all with the child lane killed by its last check: os._exit(3) ends
+# the child before it sends any result.  It runs in its own interpreter, so
+# a wrong fork cannot take the test run down with it.
+DEAD_CHILD = """
+import os, sys
+from outersix import cli, verify
+verify.CHECKS = tuple(
+    (name, (lambda: os._exit(3)) if name == "permutation-algebra" else check)
+    for name, check in verify.CHECKS
+)
+code = cli.main(["verify-all", "--json"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the second lane needs fork")
+def test_a_dead_check_process_fails_its_lane_by_name(package_env):
+    completed = subprocess.run(
+        [sys.executable, "-c", DEAD_CHILD],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=package_env,
+    )
+    assert completed.returncode == 1
+    assert "Traceback" not in completed.stdout + completed.stderr
+    assert "no child left" in completed.stderr
+    checks = json.loads(completed.stdout)["findings"]["checks"]
+    assert [c["check"] for c in checks] == [name for name, _ in verify.CHECKS]
+    lost = {"passed": False, "details": {"error": "check process ended with status 3"}}
+    for check in checks:
+        if check["check"] in verify.SECOND_PROCESS:
+            assert check == {"check": check["check"], **lost}
+        else:
+            assert check["passed"], check
 
 
 def test_module_entry_point_smoke(package_env):

@@ -1,12 +1,15 @@
-"""Source layout: the column limit the package and its tests keep, and the
+"""Source layout: the column limit the package and its tests keep, the
 package's caches, each kept because a benchmark workload asks for its
-result again."""
+result again, and the split of the claim registry into two lanes that
+share no cache."""
 
 import importlib
 import pkgutil
+from operator import attrgetter
 from pathlib import Path
 
 import outersix
+from outersix import verify
 
 MAX_COLUMNS = 88
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +48,23 @@ def test_the_package_keeps_exactly_the_listed_caches():
             and getattr(value, "__module__", None) == module.__name__
         }
     assert found == CACHES
+
+
+def test_the_two_check_lanes_fill_disjoint_caches():
+    """verify-all runs SECOND_PROCESS in a forked child; a cache that both
+    lanes filled would be built twice, once in each process."""
+    assert set(verify.SECOND_PROCESS) <= {name for name, _ in verify.CHECKS}
+    caches = {name: attrgetter(name)(outersix) for name in CACHES}
+    filled = []
+    for in_second in (False, True):
+        for cache in caches.values():
+            cache.cache_clear()
+        lane = [
+            check for check in verify.CHECKS
+            if (check[0] in verify.SECOND_PROCESS) == in_second
+        ]
+        assert all(r["passed"] for r in verify._run(lane))  # in this process
+        filled.append({n for n, c in caches.items() if c.cache_info().currsize})
+    sym6_lane, second_lane = filled
+    assert sym6_lane and second_lane
+    assert sym6_lane.isdisjoint(second_lane)
