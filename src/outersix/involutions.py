@@ -22,7 +22,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import IntegrityError
-from .perms import Permutation, involution_class, order_of
+from .perms import Permutation, involution_class, involution_products, order_of
 
 # Spectrum sweeps walk one full involution class; degree 11 (where C_5 has
 # 10395 members) is the largest anything downstream asks for.
@@ -74,9 +74,9 @@ def maximal_independent_sets(n: int) -> frozenset[frozenset[Permutation]]:
     """Maximal sets of pairwise noncommuting transpositions avoiding their
     dependent closures.
 
-    Every valid set is enumerated (validity is hereditary, so a depth-first
-    scan over sorted members sees each one exactly once), then maximality is
-    proved by testing every extension candidate.
+    Every valid set of indices into C_1 is enumerated (validity is hereditary,
+    so a depth-first scan over sorted members sees each one exactly once),
+    then maximality is proved by testing every extension candidate.
     """
     if not MIN_STAR_DEGREE <= n <= MAX_STAR_DEGREE:
         raise ValueError(
@@ -84,26 +84,25 @@ def maximal_independent_sets(n: int) -> frozenset[frozenset[Permutation]]:
             f"{MAX_STAR_DEGREE}, got {n}"
         )
     c1 = involution_class(n, 1)
-    closure: dict[frozenset[Permutation], Permutation] = {}
-    for x, y in itertools.combinations(c1, 2):
+    index = {t: k for k, t in enumerate(c1)}
+    closure: dict[tuple[int, int], int] = {}  # (a, b), a < b, indices into c1
+    for (a, x), (b, y) in itertools.combinations(enumerate(c1), 2):
         if not x.commutes_with(y):
-            closure[frozenset((x, y))] = dependent_closure(x, y)
+            closure[a, b] = index[dependent_closure(x, y)]
 
-    def is_valid(members: tuple[Permutation, ...]) -> bool:
-        for x, y in itertools.combinations(members, 2):
-            key = frozenset((x, y))
-            if key not in closure:
-                return False  # the pair commutes
-            if closure[key] in members:
+    def is_valid(members: tuple[int, ...]) -> bool:  # members ascending
+        for pair in itertools.combinations(members, 2):
+            z = closure.get(pair)
+            if z is None or z in members:  # the pair commutes, or closes inside
                 return False
         return True
 
-    valid_sets: list[tuple[Permutation, ...]] = []
+    valid_sets: list[tuple[int, ...]] = []
 
-    def extend(current: tuple[Permutation, ...], start: int) -> None:
+    def extend(current: tuple[int, ...], start: int) -> None:
         valid_sets.append(current)
         for k in range(start, len(c1)):
-            candidate = current + (c1[k],)
+            candidate = current + (k,)
             if is_valid(candidate):
                 extend(candidate, k + 1)
 
@@ -113,9 +112,9 @@ def maximal_independent_sets(n: int) -> frozenset[frozenset[Permutation]]:
     for members in valid_sets:
         if not members:
             continue
-        extensions = (t for t in c1 if t not in members)
-        if all(not is_valid(members + (t,)) for t in extensions):
-            maximal.append(frozenset(members))
+        extensions = (k for k in range(len(c1)) if k not in members)
+        if all(not is_valid(tuple(sorted(members + (k,)))) for k in extensions):
+            maximal.append(frozenset(c1[k] for k in members))
     return frozenset(maximal)
 
 
@@ -129,16 +128,18 @@ def _product_orders(n: int, j: int) -> tuple[Permutation, MappingProxyType]:
     factor already realize every order.  Tests cross-check this against the
     full pairwise sweep at small degrees.
     """
-    if n > MAX_SPECTRUM_DEGREE:
+    if not 2 <= n <= MAX_SPECTRUM_DEGREE:
         raise ValueError(
-            f"spectrum sweep supported for n <= {MAX_SPECTRUM_DEGREE}, got {n}"
+            f"spectrum sweep supported for 2 <= n <= {MAX_SPECTRUM_DEGREE}, got {n}"
         )
-    members = involution_class(n, j)
-    images = members[0].images
-    first: dict[int, Permutation] = {}
-    for y in members:
-        first.setdefault(order_of([images[v - 1] for v in y.images]), y)
-    return members[0], MappingProxyType(first)
+    i = n - 2 * j  # x0 fixes 1..i and swaps i+1 with i+2, i+3 with i+4, ...
+    x0 = tuple(k if k <= i else i + 1 + ((k - i - 1) ^ 1) for k in range(1, n + 1))
+    products = involution_products(x0, j)  # x0 * y for each y in C_j; checks (n, j)
+    orders = list(map(order_of, products))
+    x0, first = Permutation._raw(x0), {}
+    for order in dict.fromkeys(orders):  # y = x0 * (x0 * y), as x0 is an involution
+        first[order] = x0 * Permutation._raw(products[orders.index(order)])
+    return x0, MappingProxyType(first)
 
 
 def product_order_spectrum(n: int, j: int) -> frozenset[int]:

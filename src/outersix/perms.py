@@ -14,9 +14,9 @@ Conventions used throughout the package:
 
 Involutions with exactly j 2-cycles form a single conjugacy class; the
 module exposes that class both by direct construction (one recursive walk
-that fixes or pairs each point in turn, emitting members in lexicographic
-order) and through its counting formula n! / (i! * j! * 2**j) with
-i = n - 2*j fixed points.
+that fixes or pairs each point in turn, emitting in lexicographic order the
+products of a fixed left factor with the members) and through its counting
+formula n! / (i! * j! * 2**j) with i = n - 2*j fixed points.
 """
 
 from __future__ import annotations
@@ -151,8 +151,7 @@ class Permutation:
         >>> Permutation.from_cycles(6, [(1, 2), (3, 4)]).cycle_type()
         (2, 2, 1, 1)
         """
-        lengths = sorted((len(c) for c in self.cycles()), reverse=True)
-        return tuple(lengths) + (1,) * (self.degree - sum(lengths))
+        return tuple(sorted(_cycle_lengths(self.images), reverse=True))
 
     def order(self) -> int:
         return order_of(self.images)
@@ -181,8 +180,13 @@ class Permutation:
 
 def order_of(images: Sequence[int]) -> int:
     """The order of the permutation with these images, in one cycle walk."""
+    return math.lcm(*_cycle_lengths(images))
+
+
+def _cycle_lengths(images: Sequence[int]) -> list[int]:
+    # One walk over the cycles, fixed points included, in order of least point.
     seen = [False] * len(images)
-    order = 1
+    lengths = []
     for start in range(len(images)):
         if seen[start]:
             continue
@@ -191,8 +195,8 @@ def order_of(images: Sequence[int]) -> int:
             seen[point] = True
             point = images[point] - 1
             length += 1
-        order = math.lcm(order, length)
-    return order
+        lengths.append(length)
+    return lengths
 
 
 def parse_cycles(text: str, n: int) -> Permutation:
@@ -242,21 +246,25 @@ def involution_class_size(n: int, j: int) -> int:
 
 
 def involution_class(n: int, j: int) -> tuple[Permutation, ...]:
-    """All involutions of degree n with exactly j 2-cycles, sorted.
+    """All involutions of degree n with exactly j 2-cycles, sorted."""
+    _check_class_id(n, j)  # here, as len(left) below would read n < 0 as 0
+    return tuple(map(Permutation._raw, involution_products(range(1, n + 1), j)))
 
-    Built directly by one walk that emits the members in lexicographic
-    order of image tuples.  The result is cross-checked against the
-    counting formula.
-    """
+
+def involution_products(left: Sequence[int], j: int) -> list[tuple[int, ...]]:
+    """The images of left * y for each y in the class C_j of degree len(left),
+    in lexicographic order of y, from one walk over the class with no
+    Permutation per member.  The count is checked against the formula."""
+    n = len(left)
     _check_class_id(n, j)
-    members: list[Permutation] = []
-    _matchings(list(range(1, n + 1)), list(range(1, n + 1)), j, members)
-    if len(members) != involution_class_size(n, j):
+    products: list[tuple[int, ...]] = []
+    _matchings(list(left), left, list(range(n)), j, products)
+    if len(products) != involution_class_size(n, j):
         raise IntegrityError(
-            f"involution class (n={n}, j={j}) has {len(members)} members, "
+            f"involution class (n={n}, j={j}) has {len(products)} members, "
             f"formula says {involution_class_size(n, j)}"
         )
-    return tuple(members)
+    return products
 
 
 def _check_class_id(n: int, j: int) -> None:
@@ -268,16 +276,17 @@ def _check_class_id(n: int, j: int) -> None:
         raise ValueError(f"class (n={n}, j={j}) is empty: need 2j <= n")
 
 
-def _matchings(images: list[int], free: list[int], pairs: int, out: list) -> None:
-    # The least free point is first left fixed, then paired with each larger
-    # free point in turn, so members reach `out` in lexicographic order.
-    if not pairs:
-        out.append(Permutation._raw(tuple(images)))
-        return
+def _matchings(images: list, left: Sequence, free: list, pairs: int, out: list) -> None:
+    # The least free index is first left fixed, then paired with each larger
+    # one, so the factors y come in lexicographic order; images holds left * y
+    # (a pairing swaps two entries).  Every call has 1 <= pairs <= len(free)/2.
     first, rest = free[0], free[1:]
     if len(rest) >= 2 * pairs:
-        _matchings(images, rest, pairs, out)
+        _matchings(images, left, rest, pairs, out)
     for k, partner in enumerate(rest):
-        images[first - 1], images[partner - 1] = partner, first
-        _matchings(images, rest[:k] + rest[k + 1 :], pairs - 1, out)
-        images[first - 1], images[partner - 1] = first, partner
+        images[first], images[partner] = left[partner], left[first]
+        if pairs == 1:
+            out.append(tuple(images))
+        else:
+            _matchings(images, left, rest[:k] + rest[k + 1 :], pairs - 1, out)
+        images[first], images[partner] = left[first], left[partner]

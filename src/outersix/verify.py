@@ -281,21 +281,25 @@ def check_engine_against_oracle() -> dict:
 def check_permutation_algebra() -> dict:
     """Group laws: exhaustive at degree 4, sampled at degree 6."""
     elements4 = list(enumerate_sym(4))
-    for p, q, r in itertools.product(elements4, repeat=3):
-        _demand((p * q) * r == p * (q * r), "associativity at degree 4")
+    index4 = {p: k for k, p in enumerate(elements4)}
+    mul = [[index4.get(p * q) for q in elements4] for p in elements4]
+    _demand(all(None not in row for row in mul), "a product leaves Sym_4")
+    for p, q, r in itertools.product(range(24), repeat=3):
+        _demand(mul[mul[p][q]][r] == mul[p][mul[q][r]], "associativity at degree 4")
     identity4 = Permutation.identity(4)
     for p in elements4:
         _demand(p * p.inverse() == identity4, "inverses at degree 4")
         _demand(p.inverse() * p == identity4, "inverses at degree 4")
+    classes = {p: {p.conjugate(g) for g in elements4} for p in elements4}
     for p, q in itertools.product(elements4, repeat=2):
-        same_class = any(p.conjugate(g) == q for g in elements4)
         _demand(
-            same_class == (p.cycle_type() == q.cycle_type()),
+            (q in classes[p]) == (p.cycle_type() == q.cycle_type()),
             "conjugacy at degree 4",
         )
+        pq, p_by_q = p * q, p.conjugate(q)
         for k in p.images:  # the conventions, pointwise: q acts first; q*p*q**-1
-            _demand((p * q)(k) == p(q(k)), "product p * q must apply q first")
-            _demand(p.conjugate(q)(q(k)) == q(p(k)), "p.conjugate(q) must be q*p*q**-1")
+            _demand(pq(k) == p(q(k)), "product p * q must apply q first")
+            _demand(p_by_q(q(k)) == q(p(k)), "p.conjugate(q) must be q*p*q**-1")
 
     rng = random.Random(0x0516)
     elements6 = list(enumerate_sym(6))

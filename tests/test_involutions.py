@@ -92,6 +92,49 @@ def test_maximal_sets_are_exactly_the_stars(n):
     assert all(len(s) == n - 1 for s in found)
 
 
+def _permutation_keyed_sets(n):
+    """Reference: the star search keyed by frozensets of Permutations, as it
+    ran before the search moved onto indices into C_1."""
+    c1 = involution_class(n, 1)
+    closure = {}
+    for x, y in itertools.combinations(c1, 2):
+        if not x.commutes_with(y):
+            closure[frozenset((x, y))] = dependent_closure(x, y)
+
+    def is_valid(members):
+        for x, y in itertools.combinations(members, 2):
+            key = frozenset((x, y))
+            if key not in closure:
+                return False  # the pair commutes
+            if closure[key] in members:
+                return False
+        return True
+
+    valid_sets = []
+
+    def extend(current, start):
+        valid_sets.append(current)
+        for k in range(start, len(c1)):
+            candidate = current + (c1[k],)
+            if is_valid(candidate):
+                extend(candidate, k + 1)
+
+    extend((), 0)
+    maximal = []
+    for members in valid_sets:
+        if not members:
+            continue
+        extensions = (t for t in c1 if t not in members)
+        if all(not is_valid(members + (t,)) for t in extensions):
+            maximal.append(frozenset(members))
+    return frozenset(maximal)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_index_search_matches_the_permutation_keyed_search(n):
+    assert maximal_independent_sets(n) == _permutation_keyed_sets(n)
+
+
 def test_each_maximal_set_has_a_single_anchor_point():
     for n in (3, 6):
         for members in maximal_independent_sets(n):
@@ -143,6 +186,12 @@ def test_sweep_matches_the_permutation_route(n):
         oracle_x0, oracle_first = _permutation_route(n, j)
         assert x0 == oracle_x0
         assert list(first.items()) == list(oracle_first.items())
+
+
+def test_the_closed_form_first_factor_is_the_first_member():
+    for n in range(2, 12):
+        for j in range(1, n // 2 + 1):
+            assert _product_orders.__wrapped__(n, j)[0] == involution_class(n, j)[0]
 
 
 def test_spectrum_frozen_values():
@@ -222,3 +271,10 @@ def test_survey_guards():
         lemma2_survey(3)
     with pytest.raises(ValueError):
         product_order_spectrum(12, 1)
+    with pytest.raises(ValueError, match="2 <= n <= 11, got 1"):
+        product_order_spectrum(1, 1)
+    # The closed-form first factor has no meaning here; the class is refused.
+    with pytest.raises(ValueError, match=r"class \(n=4, j=3\) is empty"):
+        product_order_spectrum(4, 3)
+    with pytest.raises(ValueError, match="j must be at least 1"):
+        product_order_spectrum(4, 0)

@@ -13,6 +13,8 @@ from outersix.perms import (
     enumerate_sym,
     involution_class,
     involution_class_size,
+    involution_products,
+    order_of,
     parse_cycles,
 )
 
@@ -112,11 +114,19 @@ def test_order_examples():
     assert parse_cycles("(1,2)", 2).order() == 2
     assert parse_cycles("(1,2,3)(4,5)", 6).order() == 6
     assert parse_cycles("(1,2,3,4)(5,6)", 6).order() == 4
-    for p in enumerate_sym(6):
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_and_cycle_type_follow_their_definitions(n):
+    # Both read one cycle-length walk; here each is checked on its own terms.
+    for p in enumerate_sym(n):
         power, k = p, 1
         while not power.is_identity():
             power, k = power * p, k + 1
-        assert p.order() == k
+        assert order_of(p.images) == p.order() == k
+        lengths = [len(c) for c in p.cycles()]
+        lengths += [1] * (n - sum(lengths))
+        assert p.cycle_type() == tuple(sorted(lengths, reverse=True))
 
 
 def test_product_of_different_degrees_is_refused():
@@ -161,6 +171,17 @@ def test_involution_class_matches_enumeration(n):
     for j in range(1, n // 2 + 1):
         wanted = (2,) * j + (1,) * (n - 2 * j)
         assert list(involution_class(n, j)) == by_type[wanted]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_involution_products_are_the_products_with_each_member(n):
+    rng = random.Random(0x17 + n)
+    scrambled = Permutation(rng.sample(range(1, n + 1), n))
+    for j in range(1, n // 2 + 1):
+        members = involution_class(n, j)
+        for left in (Permutation.identity(n), members[0], scrambled):
+            wanted = [(left * y).images for y in members]
+            assert involution_products(left.images, j) == wanted
 
 
 def test_involution_class_sizes():

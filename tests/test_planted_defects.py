@@ -178,6 +178,17 @@ def invert_a_three_cycle_wrongly(monkeypatch):
     )
 
 
+def square_a_four_cycle_wrongly(monkeypatch):
+    # (1,2,3,4)**2 is (1,3)(2,4); the planted square stays in Sym_4.  No other
+    # check squares a 4-cycle: stars multiplies transpositions, and the
+    # survey's left factor is an involution.
+    mul, cycle = Permutation.__mul__, Permutation.full_cycle(4)
+    identity = Permutation.identity(4)
+    monkeypatch.setattr(
+        Permutation, "__mul__", lambda p, q: identity if p == q == cycle else mul(p, q)
+    )
+
+
 def apply_the_left_factor_first(monkeypatch):
     mul = Permutation.__mul__
     monkeypatch.setattr(Permutation, "__mul__", lambda p, q: mul(q, p))
@@ -299,6 +310,12 @@ PLANTS = {
         ("permutation-algebra",),
         "inverses at degree 4",
     ),
+    "permutation-algebra/associativity": (
+        square_a_four_cycle_wrongly,
+        (),
+        ("permutation-algebra",),
+        "associativity at degree 4",
+    ),
     "permutation-algebra/convention": (
         apply_the_left_factor_first,
         (),
@@ -328,3 +345,12 @@ def test_a_planted_defect_fails_exactly_its_checks(
     check = row.split("/")[0]
     error = next(c["details"]["error"] for c in checks if c["check"] == check)
     assert fragment in error
+
+
+def test_a_product_outside_sym4_is_named(monkeypatch):
+    mul, stray = Permutation.__mul__, Permutation.identity(5)
+    monkeypatch.setattr(
+        Permutation, "__mul__", lambda p, q: stray if p.degree == 4 else mul(p, q)
+    )
+    with pytest.raises(verify.CheckFailed, match="a product leaves Sym_4"):
+        verify.check_permutation_algebra()
