@@ -295,26 +295,9 @@ def out_order(n: int) -> int:
 
 
 def class_image(table: AutomorphismTable, j: int) -> int:
-    """The index j' with table(C_j) = C_j'.
-
-    Applies the table to every member of C_j and demands that all images
-    are involutions of one single shape.
-    """
-    n = table.n
-    shapes = set()
-    for p in involution_class(n, j):
-        image = table.apply(p)
-        cycle_type = image.cycle_type()
-        if any(length > 2 for length in cycle_type):
-            raise IntegrityError(
-                f"image {image} of an involution is not an involution"
-            )
-        shapes.add(cycle_type.count(2))
-    if len(shapes) != 1:
-        raise IntegrityError(
-            f"class C_{j} maps onto several classes: {sorted(shapes)}"
-        )
-    return shapes.pop()
+    """The index j' with table(C_j) = C_j', for a certified automorphism:
+    it permutes the conjugacy classes, so one member settles all of C_j."""
+    return table.apply(involution_class(table.n, j)[0]).cycle_type().count(2)
 
 
 def involutive_outer_count() -> int:

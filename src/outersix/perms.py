@@ -202,23 +202,22 @@ def _cycle_lengths(images: Sequence[int]) -> list[int]:
 def parse_cycles(text: str, n: int) -> Permutation:
     """Parse cycle notation such as ``"(1,2)(3,4)"`` into a degree-n element.
 
-    ``"()"`` denotes the identity.  Whitespace around numbers is tolerated;
-    anything else is rejected.
+    ``"()"`` denotes the identity.  Whitespace around numbers and parentheses
+    is tolerated, but not inside a number: ``"(1 2,3)"`` is rejected.
 
     >>> parse_cycles("(1,3,2)", 4)
     (1,3,2)
     >>> parse_cycles("()", 3).is_identity()
     True
     """
-    stripped = re.sub(r"\s+", "", text)
-    if stripped == "()":
+    if re.sub(r"\s+", "", text) == "()":
         return Permutation.identity(n)
-    body = _CYCLE_RE.findall(stripped)
-    if "".join(f"({part})" for part in body) != stripped or not body:
+    body = _CYCLE_RE.findall(text)
+    if _CYCLE_RE.sub("", text).strip() or not body:
         raise ValueError(f"malformed cycle notation: {text!r}")
     cycles = []
-    for part in body:
-        if not part:
+    for part in body:  # int() takes the blanks around a number, not inside one
+        if not part.strip():
             raise ValueError(f"empty cycle in {text!r}")
         try:
             cycles.append(tuple(int(tok) for tok in part.split(",")))

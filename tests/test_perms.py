@@ -224,6 +224,15 @@ def test_parse_rejects_malformed():
     for bad in ["", "1,2", "(1,2", "(1,2)x", "(1,1)", "(0,1)", "(1,7)", "(2)"]:
         with pytest.raises(ValueError):
             parse_cycles(bad, 6)
+    for bad in ["(1 2,3)", "(1, 2 3)", "(1,2)( )", "( )(1,2)", "(1,(2,3))"]:
+        with pytest.raises(ValueError):  # blanks never join two numbers into one
+            parse_cycles(bad, 12)
+
+
+def test_parse_tolerates_blanks_around_numbers_and_parentheses():
+    expected = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    assert parse_cycles(" ( 1 , 2 ) ( 3 , 4 ) ", 4) == expected
+    assert parse_cycles(" ( ) ", 4).is_identity()
 
 
 def test_constructor_rejects_non_bijections():

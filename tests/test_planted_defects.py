@@ -112,6 +112,34 @@ def swap_the_antipodes_of_one_and_two(monkeypatch):
     monkeypatch.setattr(icosahedron.IcosahedronModel, "_validate", planted)
 
 
+def read_orientation_backwards(monkeypatch):
+    # The 60 reflections act on the six antipodal pairs exactly as the 60
+    # rotations do, as the antipodal map fixes every pair: only the guard on
+    # the antipodal map itself can tell the two halves apart.
+    preserves = icosahedron.preserves_orientation
+    monkeypatch.setattr(
+        icosahedron, "preserves_orientation", lambda m, s: not preserves(m, s)
+    )
+
+
+def repeat_a_rotation(monkeypatch):
+    rotations = icosahedron.rotation_group()
+    planted = rotations[:1] * 2 + rotations[2:]  # still 60, one of them twice
+    monkeypatch.setattr(icosahedron, "rotation_group", lambda: planted)
+
+
+def send_two_relabelings_to_one_letter_permutation(monkeypatch):
+    phi = icosahedron.DualPairTable._phi.func
+
+    def planted(table):
+        images = dict(phi(table))
+        first, second = list(images)[:2]
+        images[second] = images[first]
+        return images
+
+    monkeypatch.setattr(icosahedron.DualPairTable, "_phi", property(planted))
+
+
 def identify_through_a_conjugation(monkeypatch):
     inner = autgroup.conjugation_table(6, Permutation.transposition(6, 1, 2))
     monkeypatch.setattr(
@@ -144,6 +172,12 @@ def mix_the_parts(monkeypatch):
     images[a], images[b] = images[b], images[a]
     pairs[0] = (Permutation(images), pairs[0][1])
     monkeypatch.setattr(correspondence, "correspondence", lambda: tuple(pairs))
+
+
+def repeat_a_cage_automorphism(monkeypatch):
+    found = correspondence.cage_automorphisms()
+    planted = found[:1] * 2 + found[2:]  # still 1440, one of them twice
+    monkeypatch.setattr(correspondence, "cage_automorphisms", lambda: planted)
 
 
 def unmatch_a_cage_map(monkeypatch):
@@ -264,8 +298,26 @@ PLANTS = {
         ("labeled-icosahedra", "induced-map-outer"),
         "antipode of 1 is not at distance 3",
     ),
+    "labeled-icosahedra/orientation": (
+        read_orientation_backwards,
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "antipodal map must reverse orientation",
+    ),
+    "labeled-icosahedra/faithful": (
+        repeat_a_rotation,
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "orbit of (1, 2, 3, 4, 5, 6) has size 59, wanted 60",
+    ),
     "induced-map-outer": (
         identify_through_a_conjugation, (), ("induced-map-outer",), "phi(C_1) != C_3"
+    ),
+    "induced-map-outer/injective": (  # phi lives on the cached table
+        send_two_relabelings_to_one_letter_permutation,
+        (icosahedron.dual_pair_table,),
+        ("induced-map-outer",),
+        "table is not a bijection of the elements of Sym_6",
     ),
     "k6-dictionary": (
         move_an_edge_to_the_wrong_lines, (), ("k6-dictionary",), "point degree axiom"
@@ -278,6 +330,12 @@ PLANTS = {
     ),
     "cage-correspondence": (
         mix_the_parts, (), ("cage-correspondence",), "mix of both parts"
+    ),
+    "cage-correspondence/duplicate": (
+        repeat_a_cage_automorphism,
+        (),
+        ("cage-correspondence",),
+        "induced tables miss Aut(Sym_6)",
     ),
     "cage-correspondence/unmatched": (
         unmatch_a_cage_map,
