@@ -110,10 +110,6 @@ class AutomorphismTable:
         table.n, table.images, table._hash = n, images, None
         return table
 
-    @classmethod
-    def identity(cls, n: int) -> "AutomorphismTable":
-        return cls(n, range(len(sym(n).elements)))
-
     def apply(self, p: Permutation) -> Permutation:
         s = sym(self.n)
         return s.elements[self.images[s.index[p.images]]]

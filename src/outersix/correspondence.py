@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .autgroup import AutomorphismTable, enumerate_automorphisms, sym
 from .errors import IntegrityError
-from .graphs import Graph, automorphism_group
+from .graphs import automorphism_group
 from .k6 import edge_to_transposition, factor_to_involution, tutte_graph
 from .perms import Permutation
 
@@ -76,12 +76,10 @@ def _tables_by_vertex_images() -> dict:
     }
 
 
-def graph_aut_to_group_aut(
-    graph: Graph, automorphism: Permutation
-) -> AutomorphismTable:
+def graph_aut_to_group_aut(automorphism: Permutation) -> AutomorphismTable:
     """The Sym_6 automorphism that acts on the cage vertex elements as the
-    graph automorphism acts on the vertices."""
-    vertex_map = graph.vertex_map(automorphism)
+    cage automorphism acts on the vertices of tutte_graph()."""
+    vertex_map = tutte_graph().vertex_map(automorphism)
     _sends_edges_to_factors(vertex_map)
     element = _vertex_elements()
     key = tuple(element[vertex_map[v]] for v in element)
@@ -93,7 +91,4 @@ def graph_aut_to_group_aut(
 
 def correspondence() -> tuple[tuple[Permutation, AutomorphismTable], ...]:
     """Each cage automorphism with its induced Sym_6 automorphism."""
-    graph = tutte_graph()
-    return tuple(
-        (a, graph_aut_to_group_aut(graph, a)) for a in cage_automorphisms()
-    )
+    return tuple((a, graph_aut_to_group_aut(a)) for a in cage_automorphisms())

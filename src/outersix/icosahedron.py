@@ -8,10 +8,10 @@ rotation classes.  Each class is recognizable by the 10 label triples its
 20 faces wear, the complementary 10 triples belong to a partner class, and
 the 6 partner pairs (lettered a..f) are a second six-element set on which
 Sym_6 acts.  Relabeling by sigma permutes the 12 classes, hence the 6
-letters: that map phi, built once in one pass over the 720 relabelings, is
-a bijective homomorphism sending transpositions to triple involutions, so
-composing with any identification of letters with points yields an
-automorphism of Sym_6 that no conjugation realizes.
+letters: that map phi, one table over Sym_6 built in one pass over the 720
+relabelings, is a bijective homomorphism sending transpositions to triple
+involutions, so conjugation by any identification of letters with points
+after phi is an automorphism of Sym_6 that no conjugation realizes.
 """
 
 from __future__ import annotations
@@ -155,10 +155,8 @@ def _distance2_triangles() -> tuple[frozenset[int], ...]:
         if u < v and d == 2
     ]
     graph = Graph(model.vertices, pairs)
-    if graph.edge_count() != 30 or any(
-        graph.degree(v) != 5 for v in model.vertices
-    ):
-        raise IntegrityError("distance-2 graph is not a 5-regular 30-edge graph")
+    if any(graph.degree(v) != 5 for v in model.vertices):
+        raise IntegrityError("distance-2 graph is not 5-regular")
     triangles = [
         frozenset((a, b, c))
         for a, b, c in itertools.combinations(model.vertices, 3)
@@ -209,9 +207,7 @@ class DualPairTable:
                 raise IntegrityError(
                     f"orbit of {labeling} has size {len(orbit)}, wanted 60"
                 )
-            for other in orbit:
-                if self.class_of.setdefault(other, index) != index:
-                    raise IntegrityError("rotation orbits overlap")
+            self.class_of.update(dict.fromkeys(orbit, index))
         self.class_reps = tuple(reps)
         if len(self.class_reps) != 12:
             raise IntegrityError(
@@ -265,12 +261,9 @@ class DualPairTable:
         label = {
             v: labeling[self._pair_of_vertex[v]] for v in self.model.vertices
         }
-        triples = frozenset(
+        return frozenset(
             frozenset(label[v] for v in triangle) for triangle in triangles
         )
-        if any(len(t) != 3 for t in triples):
-            raise IntegrityError("a triangle repeats a label")
-        return triples
 
     def dual_class_via_skeleton(self, class_index: int) -> int:
         """Partner class read off the distance-2 skeleton, an independent
@@ -286,10 +279,11 @@ class DualPairTable:
         return partner
 
     @cached_property
-    def _phi(self) -> dict[tuple[int, ...], Permutation]:
-        """phi(sigma) for all 720 relabelings sigma in lexicographic order, keyed
-        by image tuple: how sigma permutes the classes, read on the letters."""
-        phi = {}
+    def _phi(self) -> AutomorphismTable:
+        """phi as one table over sym(6), row k for the k-th relabeling sigma in
+        lexicographic order: how sigma permutes the classes, read on the
+        letters.  Every other view of phi is read from this table."""
+        index, images = sym(6).index, []
         for sigma in enumerate_sym(6):
             class_images = [
                 self.class_of[tuple(sigma(v) for v in rep)] for rep in self.class_reps
@@ -305,18 +299,18 @@ class DualPairTable:
                         "relabeling sends one dual pair onto two different pairs"
                     )
                 letter_images[src - 1] = dst
-            phi[sigma.images] = Permutation(letter_images)
-        return phi
+            images.append(index[Permutation(letter_images).images])
+        return AutomorphismTable(6, images)
 
     def pair_permutation(self, sigma: Permutation) -> Permutation:
         """The letter permutation phi(sigma) induced on the 6 dual pairs."""
         if sigma.degree != 6:
             raise ValueError("relabelings act on 6 labels")
-        return self._phi[sigma.images]
+        return self._phi.apply(sigma)
 
     def pair_permutation_table(self) -> tuple[Permutation, ...]:
         """phi on all 720 relabelings, aligned with lexicographic order."""
-        return tuple(self._phi.values())
+        return tuple(map(sym(6).elements.__getitem__, self._phi.images))
 
     def transposition_images(self) -> dict[tuple[int, int], Permutation]:
         return {
@@ -326,20 +320,15 @@ class DualPairTable:
 
     def outer_from_identification(self, ident: Permutation) -> AutomorphismTable:
         """The Sym_6 automorphism sigma -> ident * phi(sigma) * ident**-1
-        obtained by identifying letters with points through ident."""
+        obtained by identifying letters with points through ident: that is,
+        conjugation by ident after phi."""
         if ident.degree != 6:
             raise ValueError("an identification matches 6 letters with 6 points")
-        inverse, index = ident.inverse(), sym(6).index
-        images = [index[(ident * phi * inverse).images] for phi in self._phi.values()]
-        return AutomorphismTable(6, images)
+        return conjugation_table(6, ident).compose(self._phi)
 
     def all_outer_automorphisms(self) -> frozenset[AutomorphismTable]:
-        """One automorphism per identification of letters with points: the
-        one through ident is conjugation by ident after the identity one."""
-        base = self.outer_from_identification(Permutation.identity(6))
-        return frozenset(
-            conjugation_table(6, ident).compose(base) for ident in enumerate_sym(6)
-        )
+        """One automorphism per identification of letters with points."""
+        return frozenset(map(self.outer_from_identification, enumerate_sym(6)))
 
 
 @lru_cache(maxsize=None)

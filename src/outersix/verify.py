@@ -112,13 +112,13 @@ def check_labeled_icosahedra() -> dict:
 
 def check_induced_map_is_outer() -> dict:
     """phi is a bijective homomorphism exchanging C_1 and C_3, and its 720
-    identifications are exactly the outer coset."""
+    identifications are exactly the outer coset.  phi permutes the classes
+    and keeps their sizes (15, 45, 15 for C_1, C_2, C_3), so phi(C_1) = C_3
+    forces phi(C_3) = C_1 and phi(C_2) = C_2."""
     table = icosahedron.dual_pair_table()
     base = table.outer_from_identification(Permutation.identity(6))
     _demand(base.is_homomorphism(), "phi fails the homomorphism check")
     _demand(autgroup.class_image(base, 1) == 3, "phi(C_1) != C_3")
-    _demand(autgroup.class_image(base, 3) == 1, "phi(C_3) != C_1")
-    _demand(autgroup.class_image(base, 2) == 2, "phi(C_2) != C_2")
     _demand(autgroup.inner_witness(base) is None, "phi has an inner witness")
     _, outer = autgroup.inner_and_outer(6)
     constructed = table.all_outer_automorphisms()

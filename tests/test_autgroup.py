@@ -28,7 +28,7 @@ from outersix.perms import Permutation, involution_class
 
 
 def test_identity_table():
-    e = AutomorphismTable.identity(4)
+    e = conjugation_table(4, Permutation.identity(4))
     assert e.is_identity()
     assert inner_witness(e) == Permutation.identity(4)
     for p in group_elements(4):
@@ -59,8 +59,8 @@ def test_table_validation():
         AutomorphismTable(3, range(1, 7))
     with pytest.raises(IntegrityError):
         AutomorphismTable(3, (-1, 0, 1, 2, 3, 4))
-    a = AutomorphismTable.identity(3)
-    b = AutomorphismTable.identity(4)
+    a = conjugation_table(3, Permutation.identity(3))
+    b = conjugation_table(4, Permutation.identity(4))
     with pytest.raises(ValueError):
         a.compose(b)
 

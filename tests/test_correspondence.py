@@ -25,9 +25,8 @@ def test_cage_automorphism_count():
 
 
 def test_identity_maps_to_identity():
-    graph = tutte_graph()
     identity = next(a for a in cage_automorphisms() if a.is_identity())
-    assert graph_aut_to_group_aut(graph, identity).is_identity()
+    assert graph_aut_to_group_aut(identity).is_identity()
 
 
 def test_correspondence_is_a_bijection_onto_aut():
@@ -90,7 +89,7 @@ def test_swapping_an_edge_and_a_factor_vertex_is_an_integrity_error():
     with pytest.raises(IntegrityError, match="mix of both parts"):
         swaps_parts(mixed)
     with pytest.raises(IntegrityError, match="mix of both parts"):
-        graph_aut_to_group_aut(graph, mixed)
+        graph_aut_to_group_aut(mixed)
 
 
 def test_swapping_two_edge_vertices_is_an_integrity_error():
@@ -99,7 +98,7 @@ def test_swapping_two_edge_vertices_is_an_integrity_error():
     a, b = graph.index(("e", (1, 2))), graph.index(("e", (3, 4)))
     images[a], images[b] = images[b], images[a]
     with pytest.raises(IntegrityError, match="matches no automorphism"):
-        graph_aut_to_group_aut(graph, Permutation(images))
+        graph_aut_to_group_aut(Permutation(images))
 
 
 def test_swapping_two_factor_vertices_is_an_integrity_error():
@@ -111,4 +110,4 @@ def test_swapping_two_factor_vertices_is_an_integrity_error():
     b = graph.index(("f", ((1, 2), (3, 5), (4, 6))))
     images[a], images[b] = images[b], images[a]
     with pytest.raises(IntegrityError, match="matches no automorphism"):
-        graph_aut_to_group_aut(graph, Permutation(images))
+        graph_aut_to_group_aut(Permutation(images))

@@ -128,16 +128,25 @@ def repeat_a_rotation(monkeypatch):
     monkeypatch.setattr(icosahedron, "rotation_group", lambda: planted)
 
 
+def break_the_rotation_group(monkeypatch):
+    # swap exchanges the first two antipodal pairs point for point, an odd
+    # permutation of the six pairs: the 60 maps still act freely on the
+    # labelings, but they are no longer a group, so their orbits overlap.
+    rotations = icosahedron.rotation_group()
+    (a, b), (c, d) = icosahedron.build_model().antipodal_pairs()[:2]
+    swap = Permutation.from_cycles(12, [(a, c), (b, d)])
+    planted = rotations[:1] + (swap * rotations[1],) + rotations[2:]
+    monkeypatch.setattr(icosahedron, "rotation_group", lambda: planted)
+
+
 def send_two_relabelings_to_one_letter_permutation(monkeypatch):
-    phi = icosahedron.DualPairTable._phi.func
+    enumerate_sym = icosahedron.enumerate_sym
 
-    def planted(table):
-        images = dict(phi(table))
-        first, second = list(images)[:2]
-        images[second] = images[first]
-        return images
+    def planted(n):  # phi's loop sees its first relabeling twice, its second never
+        first, _, *rest = enumerate_sym(n)
+        return [first, first, *rest]
 
-    monkeypatch.setattr(icosahedron.DualPairTable, "_phi", property(planted))
+    monkeypatch.setattr(icosahedron, "enumerate_sym", planted)
 
 
 def identify_through_a_conjugation(monkeypatch):
@@ -309,6 +318,12 @@ PLANTS = {
         (icosahedron.dual_pair_table,),
         ("labeled-icosahedra", "induced-map-outer"),
         "orbit of (1, 2, 3, 4, 5, 6) has size 59, wanted 60",
+    ),
+    "labeled-icosahedra/overlap": (
+        break_the_rotation_group,
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "expected 12 rotation classes, found 24",
     ),
     "induced-map-outer": (
         identify_through_a_conjugation, (), ("induced-map-outer",), "phi(C_1) != C_3"
