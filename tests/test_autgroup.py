@@ -52,12 +52,12 @@ def test_table_validation():
     # A table that is no bijection is a broken invariant, not bad input.
     with pytest.raises(IntegrityError, match="bijection of the elements of Sym_3"):
         AutomorphismTable(3, [0] * 6)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="bijection of the elements of Sym_3"):
         AutomorphismTable(3, range(5))
     # Six distinct images that are not exactly the indices 0..5.
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="bijection of the elements of Sym_3"):
         AutomorphismTable(3, range(1, 7))
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="bijection of the elements of Sym_3"):
         AutomorphismTable(3, (-1, 0, 1, 2, 3, 4))
     a = conjugation_table(3, Permutation.identity(3))
     b = conjugation_table(4, Permutation.identity(4))
@@ -241,7 +241,7 @@ def test_inner_witness_rejects_a_table_that_differs_off_the_generators():
     images[a], images[b] = images[b], images[a]
     table = AutomorphismTable(6, images)
     assert not table.is_homomorphism()
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="conjugation but the tables differ"):
         inner_witness(table)
 
 

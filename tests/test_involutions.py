@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from outersix import involutions
 from outersix.errors import IntegrityError
 from outersix.involutions import (
     _product_orders,
@@ -52,6 +53,29 @@ def test_dependent_closure_rejects_bad_input():
         dependent_closure(tr(5, 1, 2), parse_cycles("(1,2)(3,4)", 5))
     with pytest.raises(ValueError):
         dependent_closure(tr(5, 1, 2), tr(6, 1, 3))
+
+
+def test_dependent_closure_rejects_a_closure_that_is_no_transposition(monkeypatch):
+    is_transposition = involutions.is_transposition
+    monkeypatch.setattr(
+        involutions,
+        "is_transposition",
+        lambda p: p != tr(3, 2, 3) and is_transposition(p),
+    )
+    with pytest.raises(IntegrityError, match=r"closure \(2,3\) is not a transposition"):
+        dependent_closure(tr(3, 1, 2), tr(3, 1, 3))
+
+
+def test_dependent_closure_rejects_a_broken_braid_relation(monkeypatch):
+    mul, x, y = Permutation.__mul__, tr(3, 1, 2), tr(3, 1, 3)
+    yx, identity = y * x, Permutation.identity(3)
+    monkeypatch.setattr(  # (y*x)*y comes out as the identity
+        Permutation,
+        "__mul__",
+        lambda p, q: identity if (p, q) == (yx, y) else mul(p, q),
+    )
+    with pytest.raises(IntegrityError, match=r"x\*y\*x != y\*x\*y"):
+        dependent_closure(x, y)
 
 
 def _brute_maximal_sets(n):

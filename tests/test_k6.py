@@ -96,14 +96,28 @@ def test_doily_satisfies_gq_axioms():
 
 
 def test_gq_axiom_checker_rejects_broken_structures():
-    # Fano-like triangle: two lines meet in two points.
+    # A line of two points.
     broken = IncidenceStructure("abc", ["ab", "abc"])
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="line size axiom"):
         check_gq_axioms(broken)
     # A grid with a point on too few lines.
     broken = IncidenceStructure("abcdef", ["abc", "def"])
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="point degree axiom"):
         check_gq_axioms(broken)
+
+
+def test_gq_axiom_checker_rejects_two_lines_through_two_points():
+    # The faces of a tetrahedron: lines of 3, points on 3, but abc, abd share ab.
+    broken = IncidenceStructure("abcd", ["abc", "abd", "acd", "bcd"])
+    with pytest.raises(IntegrityError, match="two lines share 2 points"):
+        check_gq_axioms(broken)
+
+
+def test_gq_axiom_checker_rejects_a_projective_plane():
+    # The Fano plane: a point off a line sees it through all 3 of its lines.
+    fano = ["123", "145", "167", "246", "257", "347", "356"]
+    with pytest.raises(IntegrityError, match="unique transversal axiom"):
+        check_gq_axioms(IncidenceStructure("1234567", fano))
 
 
 def test_incidence_structure_validation():

@@ -1,10 +1,12 @@
 """Source layout: the column limit the package and its tests keep, the
-package's line budget, its caches, each kept because a benchmark workload
-asks for its result again, and the split of the claim registry into two
-lanes that share no cache."""
+package's line budget, its guard sites, its caches, each kept because a
+benchmark workload asks for its result again, and the split of the claim
+registry into two lanes that share no cache."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from outersix import verify
 
 MAX_COLUMNS = 88
 MAX_PACKAGE_LINES = 2_608  # a change that adds lines brings its own offset
+GUARD_SITES = 64  # tools/guard_sweep.py shows each of them firing
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -34,6 +37,15 @@ def test_the_package_stays_within_its_line_budget():
     assert any(f.name == "autgroup.py" for f in files)  # the glob found the package
     lines = sum(len(f.read_text("utf-8").splitlines()) for f in files)
     assert lines <= MAX_PACKAGE_LINES
+
+
+def test_the_guard_sweep_lists_every_site():
+    """A new guard raises this count, and comes with the PLANTS row or unit
+    test that shows it firing; the sweep confirms that none survives."""
+    tool = ROOT / "tools" / "guard_sweep.py"
+    command = [sys.executable, str(tool), "--list"]
+    listing = subprocess.run(command, capture_output=True, text=True, check=True)
+    assert len(listing.stdout.splitlines()) == GUARD_SITES
 
 
 CACHES = {

@@ -6,15 +6,18 @@ order, and the row's own check names the broken fact.  A row id is a check
 name, with a /variant suffix for a further row on the same check.  A row
 clears the lru_caches its plant reaches, before the run and after, so a warm
 cache cannot hide the plant and a poisoned one cannot outlive the row; the
-rows then give the same result in any order.
+rows then give the same result in any order.  Rows that plant the same kind
+of defect share a factory such as _edit_model, which takes the one edit.
 """
 
+import itertools
 import json
 
 import pytest
 
 from outersix import autgroup, cli, correspondence, graphs, icosahedron
-from outersix import involutions, k6, verify
+from outersix import involutions, k6, perms, verify
+from outersix.graphs import Graph
 from outersix.perms import Permutation
 
 
@@ -68,6 +71,52 @@ def drop_a_conjugator(monkeypatch):
     )
 
 
+def key_the_degree_five_conjugators_on_x_alone(monkeypatch):
+    conjugators = autgroup._conjugators  # |Inn| = 10 then divides |Aut| = 120
+
+    def planted(n):
+        found = conjugators(n)
+        return {key[0]: g for key, g in found.items()} if n == 5 else found
+
+    monkeypatch.setattr(autgroup, "_conjugators", planted)
+
+
+def fill_the_identity_for_each_y_at_degree_four(monkeypatch):
+    extend, s = autgroup.extend, autgroup.sym(4)
+
+    def planted(n, x, y):  # each pair (x, y') that extends yields the identity
+        table = extend(n, x, y)
+        if (n, x) == (4, s.x) and table is not None:
+            return extend(n, x, s.y)
+        return table
+
+    monkeypatch.setattr(autgroup, "extend", planted)
+
+
+def _misplace_witnesses(shown=None):
+    """A plant under which inner_witness finds none for the conjugation by
+    (1,2) and finds one for the table shown."""
+
+    def plant(monkeypatch):
+        inner_witness = autgroup.inner_witness
+        one_two = Permutation.transposition(6, 1, 2)
+
+        def planted(table):
+            if table == shown:
+                return one_two
+            g = inner_witness(table)
+            return None if g == one_two else g
+
+        monkeypatch.setattr(autgroup, "inner_witness", planted)
+
+    return plant
+
+
+def also_witness_the_second_outer_table(monkeypatch):
+    outer = autgroup.inner_and_outer.__wrapped__(6)[1]  # leaves the cache cold
+    _misplace_witnesses(outer[1])(monkeypatch)
+
+
 def lose_a_transposition_from_a_star(monkeypatch):
     star = involutions.star
 
@@ -95,21 +144,175 @@ def be_off_by_one_in_the_order_walk(monkeypatch):
     monkeypatch.setattr(involutions, "order_of", lambda images: order_of(images) + 1)
 
 
+def _edit_orders(n, j, edit):
+    """A plant that passes the orders found at (n, j), a map from each order
+    of x0*y to its first y, through edit."""
+
+    def plant(monkeypatch):
+        product_orders = involutions._product_orders
+
+        def planted(m, k):
+            x0, first = product_orders(m, k)
+            return x0, edit(dict(first)) if (m, k) == (n, j) else first
+
+        monkeypatch.setattr(involutions, "_product_orders", planted)
+
+    return plant
+
+
+def dropping(order):
+    return lambda first: {o: y for o, y in first.items() if o != order}
+
+
+def count_one_more_at_seven_three(monkeypatch):
+    size = perms.involution_class_size
+    monkeypatch.setattr(
+        perms, "involution_class_size", lambda n, j: size(n, j) + ((n, j) == (7, 3))
+    )
+
+
 def read_the_faces_as_distance_two_triangles(monkeypatch):
     faces = icosahedron.build_model().faces
     monkeypatch.setattr(icosahedron, "_distance2_triangles", lambda: faces)
 
 
-def swap_the_antipodes_of_one_and_two(monkeypatch):
-    validate = icosahedron.IcosahedronModel._validate
+def _edit_model(edit):
+    """A plant that edits each IcosahedronModel in place before _validate."""
 
-    def planted(model):
-        a = model.antipode
-        a[1], a[2] = a[2], a[1]
-        a[a[1]], a[a[2]] = 1, 2
-        validate(model)
+    def plant(monkeypatch):
+        validate = icosahedron.IcosahedronModel._validate
 
-    monkeypatch.setattr(icosahedron.IcosahedronModel, "_validate", planted)
+        def planted(model):
+            edit(model)
+            validate(model)
+
+        monkeypatch.setattr(icosahedron.IcosahedronModel, "_validate", planted)
+
+    return plant
+
+
+def swap_the_antipodes_of_one_and_two(model):
+    a = model.antipode
+    a[1], a[2] = a[2], a[1]
+    a[a[1]], a[a[2]] = 1, 2
+
+
+def drop_a_skeleton_edge(model):
+    edges = sorted(tuple(sorted(e)) for e in model.skeleton.edges())
+    model.skeleton = Graph(model.vertices, edges[1:])
+
+
+def repeat_the_first_face(model):
+    model.faces = model.faces[:-1] + model.faces[:1]
+
+
+def reverse_the_first_oriented_face(model):
+    model.oriented_faces = (model.oriented_faces[0][::-1],) + model.oriented_faces[1:]
+
+
+def fix_the_antipode_of_one(model):
+    model.antipode[1] = 1
+
+
+def replace_the_first_face_with_a_non_face(model):
+    triples = map(frozenset, itertools.combinations(model.vertices, 3))
+    model.faces = (next(t for t in triples if t not in model.faces),) + model.faces[1:]
+
+
+def drop_the_last_symmetry(monkeypatch):
+    automorphism_group = icosahedron.automorphism_group
+    monkeypatch.setattr(
+        icosahedron, "automorphism_group", lambda graph: automorphism_group(graph)[:-1]
+    )
+
+
+def _misread_orientation(pick):
+    """A plant under which preserves_orientation flips its verdict on the
+    symmetries pick(rotations, reflections, antipodal map) returns."""
+
+    def plant(monkeypatch):
+        preserves, model = icosahedron.preserves_orientation, icosahedron.build_model()
+        symmetries = icosahedron.full_symmetry_group()
+        rotations = [s for s in symmetries if preserves(model, s)]
+        reflections = [s for s in symmetries if not preserves(model, s)]
+        antipodal = Permutation(model.antipode[v] for v in model.vertices)
+        flipped = pick(rotations, reflections, antipodal)
+        monkeypatch.setattr(
+            icosahedron,
+            "preserves_orientation",
+            lambda m, s: preserves(m, s) != (s in flipped),
+        )
+
+    return plant
+
+
+def accept_a_reflection(rotations, reflections, a):
+    return {next(s for s in reflections if s != a)}
+
+
+def trade_a_rotation_for_a_reflection(rotations, reflections, a):
+    r0 = next(r for r in rotations if not r.is_identity())
+    return {r0, next(s for s in reflections if s not in (a, a * r0))}
+
+
+def _edit_triples(edit):
+    """A plant that passes the face triples of each labeling through
+    edit(table, labeling, triples) while the DualPairTable is built."""
+
+    def plant(monkeypatch):
+        label_triples = icosahedron.DualPairTable._label_triples
+
+        def planted(table, labeling, triangles):
+            triples = label_triples(table, labeling, triangles)
+            if triangles is not table.model.faces:
+                return triples
+            return edit(table, labeling, triples)
+
+        monkeypatch.setattr(icosahedron.DualPairTable, "_label_triples", planted)
+
+    return plant
+
+
+def drop_a_triple_of_class_zero(table, labeling, triples):
+    if labeling != table.class_reps[0]:  # (1, 2, 3, 4, 5, 6)
+        return triples
+    return triples - {min(triples, key=sorted)}
+
+
+def dress_class_one_as_class_zero(table, labeling, triples):
+    if labeling != table.class_reps[1]:
+        return triples
+    return table._label_triples(table.class_reps[0], table.model.faces)
+
+
+def trade_a_triple_of_class_zero(table, labeling, triples):
+    if labeling != table.class_reps[0]:
+        return triples
+    outside = set(map(frozenset, itertools.combinations(range(1, 7), 3))) - triples
+    return triples - {min(triples, key=sorted)} | {min(outside, key=sorted)}
+
+
+def _edit_distances(changes):
+    """A plant under which icosahedron.distances reports changes[u][v] as
+    the distance from u to v."""
+
+    def plant(monkeypatch):
+        distances = icosahedron.distances
+
+        def planted(graph, source):
+            return {**distances(graph, source), **changes.get(source, {})}
+
+        monkeypatch.setattr(icosahedron, "distances", planted)
+
+    return plant
+
+
+def read_the_first_face_as_a_distance_two_triangle(monkeypatch):
+    triangles = icosahedron._distance2_triangles
+    face = icosahedron.build_model().faces[0]
+    monkeypatch.setattr(
+        icosahedron, "_distance2_triangles", lambda: (face,) + triangles()[1:]
+    )
 
 
 def read_orientation_backwards(monkeypatch):
@@ -149,6 +352,45 @@ def send_two_relabelings_to_one_letter_permutation(monkeypatch):
     monkeypatch.setattr(icosahedron, "enumerate_sym", planted)
 
 
+def swap_the_second_and_third_relabelings(monkeypatch):
+    enumerate_sym = icosahedron.enumerate_sym
+
+    def planted(n):  # phi stays a bijection, but rows 1 and 2 trade places
+        first, second, third, *rest = enumerate_sym(n)
+        return [first, third, second, *rest]
+
+    monkeypatch.setattr(icosahedron, "enumerate_sym", planted)
+
+
+def _edit_table(edit):
+    """A plant that edits each DualPairTable once __init__ has built it."""
+
+    def plant(monkeypatch):
+        init = icosahedron.DualPairTable.__init__
+
+        def planted(table):
+            init(table)
+            edit(table)
+
+        monkeypatch.setattr(icosahedron.DualPairTable, "__init__", planted)
+
+    return plant
+
+
+def move_a_labeling_from_class_zero_to_one(table):
+    moved = next(
+        labeling for labeling, c in table.class_of.items()
+        if c == 0 and labeling != table.class_reps[0]
+    )
+    table.class_of[moved] = 1
+
+
+def swap_class_zero_with_a_class_of_another_pair(table):
+    other = next(c for c in range(12) if c not in (0, table.dual[0]))
+    swap = {0: other, other: 0}
+    table.class_of = {lab: swap.get(c, c) for lab, c in table.class_of.items()}
+
+
 def identify_through_a_conjugation(monkeypatch):
     inner = autgroup.conjugation_table(6, Permutation.transposition(6, 1, 2))
     monkeypatch.setattr(
@@ -171,6 +413,11 @@ def raise_in_a_factorization_lookup(monkeypatch):
         raise ValueError("planted factorization fault")
 
     monkeypatch.setattr(k6, "factorizations_through", broken)
+
+
+def drop_the_last_factor(monkeypatch):
+    factors = k6.factors()[:-1]
+    monkeypatch.setattr(k6, "factors", lambda: factors)
 
 
 def mix_the_parts(monkeypatch):
@@ -237,6 +484,51 @@ def apply_the_left_factor_first(monkeypatch):
     monkeypatch.setattr(Permutation, "__mul__", lambda p, q: mul(q, p))
 
 
+def conjugate_one_two_by_one_three_wrongly(monkeypatch):
+    conjugate, identity = Permutation.conjugate, Permutation.identity(4)
+    pair = (Permutation.transposition(4, 1, 2), Permutation.transposition(4, 1, 3))
+    monkeypatch.setattr(
+        Permutation,
+        "conjugate",
+        lambda p, g: identity if (p, g) == pair else conjugate(p, g),
+    )
+
+
+def conjugate_the_other_way(monkeypatch):
+    monkeypatch.setattr(Permutation, "conjugate", lambda p, g: g.inverse() * p * g)
+
+
+def _misplace_degree_six_products(planted):
+    """A plant under which p * q at degree 6 is planted(mul, p, q)."""
+
+    def plant(monkeypatch):
+        mul = Permutation.__mul__
+        monkeypatch.setattr(
+            Permutation,
+            "__mul__",
+            lambda p, q: planted(mul, p, q) if p.degree == 6 else mul(p, q),
+        )
+
+    return plant
+
+
+def swap_the_factors_when_q_is_odd(mul, p, q):
+    return mul(q, p) if (6 - len(q.cycle_type())) % 2 else mul(p, q)
+
+
+def put_a_three_cycle_between_the_factors(mul, p, q):
+    return mul(mul(p, Permutation.from_cycles(6, [(1, 2, 3)])), q)
+
+
+def conjugate_by_a_left_product(monkeypatch):
+    conjugate = Permutation.conjugate
+    monkeypatch.setattr(
+        Permutation,
+        "conjugate",
+        lambda p, g: g * p if p.degree == 6 else conjugate(p, g),
+    )
+
+
 READ_SYM6_RIGHT = (  # every cache that reads sym(6).right
     autgroup.enumerate_automorphisms, autgroup._conjugators, autgroup.inner_and_outer,
     correspondence._tables_by_vertex_images,
@@ -263,6 +555,18 @@ PLANTS = {
         + ("cage-correspondence", "involutive-counts"),
         "|Inn| = 720 does not divide |Aut| = 1392",
     ),
+    "outer-orders/inner-count": (
+        key_the_degree_five_conjugators_on_x_alone,
+        (),
+        ("outer-orders",),
+        "out order at degree 5 is 12",
+    ),
+    "outer-orders/duplicate": (
+        fill_the_identity_for_each_y_at_degree_four,
+        (autgroup.enumerate_automorphisms,),
+        ("outer-orders",),
+        "duplicate automorphisms from distinct candidates",
+    ),
     "aut-group-sizes": (
         drop_a_conjugator,
         (autgroup.inner_and_outer,),
@@ -276,6 +580,20 @@ PLANTS = {
         ("aut-group-sizes", "induced-map-outer", "cage-correspondence")
         + ("involutive-counts",),
         "table is not a bijection of the elements of Sym_6",
+    ),
+    "aut-group-sizes/witnessed": (
+        _misplace_witnesses(),
+        (autgroup.inner_and_outer,),
+        ("aut-group-sizes", "induced-map-outer", "cage-correspondence")
+        + ("involutive-counts",),
+        "719 tables have witnesses",
+    ),
+    "aut-group-sizes/coset": (
+        also_witness_the_second_outer_table,
+        (autgroup.inner_and_outer,),
+        ("aut-group-sizes", "induced-map-outer", "cage-correspondence")
+        + ("involutive-counts",),
+        "outer tables are not a single coset",
     ),
     "stars": (
         lose_a_transposition_from_a_star,
@@ -295,6 +613,36 @@ PLANTS = {
         ("spectrum-survey",),
         "transposition spectrum at degree 4 is [2, 3, 4]",
     ),
+    "spectrum-survey/survivors": (
+        _edit_orders(8, 2, lambda first: {o: first[o] for o in (1, 2, 3)}),
+        (),
+        ("spectrum-survey",),
+        "surviving classes: [(6, 3), (8, 2)]",
+    ),
+    "spectrum-survey/order-j": (
+        _edit_orders(9, 4, dropping(4)),
+        (),
+        ("spectrum-survey",),
+        "(n=9, j=4): no product of order j",
+    ),
+    "spectrum-survey/order-2j-plus-1": (
+        _edit_orders(9, 4, dropping(9)),
+        (),
+        ("spectrum-survey",),
+        "(n=9, j=4): no product of order 2j+1",
+    ),
+    "spectrum-survey/doubles": (
+        _edit_orders(4, 2, lambda first: {**first, 4: first[1]}),
+        (),
+        ("spectrum-survey",),
+        "degree-4 double spectrum is [1, 2, 4]",
+    ),
+    "spectrum-survey/class-size": (
+        count_one_more_at_seven_three,
+        (involutions._product_orders,),
+        ("spectrum-survey",),
+        "involution class (n=7, j=3) has 105 members, formula says 106",
+    ),
     "labeled-icosahedra": (
         read_the_faces_as_distance_two_triangles,
         (),
@@ -302,7 +650,7 @@ PLANTS = {
         "distance-2 route disagrees",
     ),
     "labeled-icosahedra/antipode": (
-        swap_the_antipodes_of_one_and_two,
+        _edit_model(swap_the_antipodes_of_one_and_two),
         (icosahedron.dual_pair_table,),
         ("labeled-icosahedra", "induced-map-outer"),
         "antipode of 1 is not at distance 3",
@@ -325,6 +673,90 @@ PLANTS = {
         ("labeled-icosahedra", "induced-map-outer"),
         "expected 12 rotation classes, found 24",
     ),
+    "labeled-icosahedra/regular": (
+        _edit_model(drop_a_skeleton_edge),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "skeleton is not 5-regular",
+    ),
+    "labeled-icosahedra/faces": (
+        _edit_model(repeat_the_first_face),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "face list is not 20 distinct triangles",
+    ),
+    "labeled-icosahedra/face-orientations": (
+        _edit_model(reverse_the_first_oriented_face),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "orientations are inconsistent across faces",
+    ),
+    "labeled-icosahedra/involution": (
+        _edit_model(fix_the_antipode_of_one),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "antipode is not a fixed-point-free involution",
+    ),
+    "labeled-icosahedra/face-pairing": (
+        _edit_model(replace_the_first_face_with_a_non_face),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "antipode fails to pair faces disjointly",
+    ),
+    "labeled-icosahedra/symmetries": (
+        drop_the_last_symmetry,
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "expected 120 symmetries, found 119",
+    ),
+    "labeled-icosahedra/rotations": (
+        _misread_orientation(accept_a_reflection),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "expected 60 rotations, found 61",
+    ),
+    "labeled-icosahedra/reflection": (
+        _misread_orientation(trade_a_rotation_for_a_reflection),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "antipode composed with a reflection must be a rotation",
+    ),
+    "labeled-icosahedra/triples": (
+        _edit_triples(drop_a_triple_of_class_zero),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "a class does not wear exactly 10 triples",
+    ),
+    "labeled-icosahedra/same-triples": (
+        _edit_triples(dress_class_one_as_class_zero),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "two classes wear the same triples",
+    ),
+    "labeled-icosahedra/complement": (
+        _edit_triples(trade_a_triple_of_class_zero),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra", "induced-map-outer"),
+        "complementary triples do not belong to any class",
+    ),
+    "labeled-icosahedra/d2-regular": (  # a skeleton edge read as distance 2
+        _edit_distances({1: {2: 2}}),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra",),
+        "distance-2 graph is not 5-regular",
+    ),
+    "labeled-icosahedra/d2-triangles": (  # (1,7), (2,8) out; (1,2), (7,8) in
+        _edit_distances({1: {2: 2, 7: 1}, 2: {8: 1}, 7: {8: 2}}),
+        (icosahedron.dual_pair_table,),
+        ("labeled-icosahedra",),
+        "distance-2 graph has 18 triangles, wanted 20",
+    ),
+    "labeled-icosahedra/d2-unmatched": (
+        read_the_first_face_as_a_distance_two_triangle,
+        (),
+        ("labeled-icosahedra",),
+        "distance-2 triangle triples match no rotation class",
+    ),
     "induced-map-outer": (
         identify_through_a_conjugation, (), ("induced-map-outer",), "phi(C_1) != C_3"
     ),
@@ -334,6 +766,24 @@ PLANTS = {
         ("induced-map-outer",),
         "table is not a bijection of the elements of Sym_6",
     ),
+    "induced-map-outer/homomorphism": (
+        swap_the_second_and_third_relabelings,
+        (icosahedron.dual_pair_table,),
+        ("induced-map-outer",),
+        "phi fails the homomorphism check",
+    ),
+    "induced-map-outer/scramble": (
+        _edit_table(move_a_labeling_from_class_zero_to_one),
+        (icosahedron.dual_pair_table,),
+        ("induced-map-outer",),
+        "relabeling scrambles the rotation classes",
+    ),
+    "induced-map-outer/letters": (
+        _edit_table(swap_class_zero_with_a_class_of_another_pair),
+        (icosahedron.dual_pair_table,),
+        ("induced-map-outer",),
+        "relabeling sends one dual pair onto two different pairs",
+    ),
     "k6-dictionary": (
         move_an_edge_to_the_wrong_lines, (), ("k6-dictionary",), "point degree axiom"
     ),
@@ -342,6 +792,13 @@ PLANTS = {
         (),
         ("k6-dictionary",),
         "ValueError: planted factorization fault (at test_planted_defects.py:",
+    ),
+    "k6-dictionary/factorizations": (  # every cache that reads the factors
+        drop_the_last_factor,
+        (k6.tutte_graph, correspondence.cage_automorphisms)
+        + (correspondence._vertex_elements, correspondence._tables_by_vertex_images),
+        ("k6-dictionary", "cage-correspondence", "involutive-counts"),
+        "expected 6 one-factorizations, found 4",
     ),
     "cage-correspondence": (
         mix_the_parts, (), ("cage-correspondence",), "mix of both parts"
@@ -394,6 +851,36 @@ PLANTS = {
         (),
         ("permutation-algebra",),
         "product p * q must apply q first",
+    ),
+    "permutation-algebra/conjugacy": (
+        conjugate_one_two_by_one_three_wrongly,
+        (),
+        ("permutation-algebra",),
+        "conjugacy at degree 4",
+    ),
+    "permutation-algebra/conjugate": (
+        conjugate_the_other_way,
+        (),
+        ("permutation-algebra",),
+        "p.conjugate(q) must be q*p*q**-1",
+    ),
+    "permutation-algebra/associativity-6": (
+        _misplace_degree_six_products(swap_the_factors_when_q_is_odd),
+        (),
+        ("permutation-algebra",),
+        "associativity at degree 6",
+    ),
+    "permutation-algebra/inverses-6": (
+        _misplace_degree_six_products(put_a_three_cycle_between_the_factors),
+        (),
+        ("stars", "permutation-algebra"),
+        "inverses at degree 6",
+    ),
+    "permutation-algebra/conjugation-6": (
+        conjugate_by_a_left_product,
+        (),
+        ("permutation-algebra",),
+        "conjugation preserves cycle type at degree 6",
     ),
 }
 
