@@ -10,16 +10,18 @@ one gather of two known ones, right[h*s] = right[s] read at right[h].  It
 records the tree it walked, and its one guard demands that the walk reached
 every element, that is, that x and y generate.  extend(n, x', y') fills the
 full image table along that tree, each element from its tree parent.  A
-fill that is a bijection is then certified by is_homomorphism, which checks
-every edge (g, g*s) of the Cayley graph: that certifies the homomorphism
-property exactly, by induction on word length.  The search feeds it every
+fill is certified by is_homomorphism, which checks every edge (g, g*s) of
+the Cayley graph: that certifies the homomorphism property exactly, by
+induction on word length.  A homomorphism is injective, so a bijection of
+the finite group, exactly when its kernel is trivial: only the identity
+may map to the identity.  The search feeds it every
 candidate pair (an involution for x, an order-n element for y).  No
 sampling, no reliance on pruning heuristics: the one shortcut before the
 fill asks the words of the Coxeter-Moser presentation, x'*y'**k for
 0 < k < n and x'*y'**-k*x'*y'**k for 0 < k <= n/2, for the orders of the
 same words in x and y.  Every automorphism keeps the order of every word,
 so this is only a necessary condition and nothing valid is skipped; the
-fill, its bijection test and is_homomorphism stay the authority.
+fill, is_homomorphism and its kernel test stay the authority.
 
 Automorphisms are stored as full image tables over the element list, which
 makes composition, comparison and coset bookkeeping plain tuple arithmetic.
@@ -178,10 +180,10 @@ def extend(n: int, x_image: int, y_image: int) -> AutomorphismTable | None:
     images = [s.identity] * len(s.elements)  # the tree fills all the others
     for g, gen, h in s.tree:
         images[h] = column[gen][images[g]]
-    if len(set(images)) != len(images):
-        return None
     table = AutomorphismTable._raw(n, tuple(images))
-    return table if table.is_homomorphism() else None
+    if table.is_homomorphism() and images.count(s.identity) == 1:  # trivial kernel
+        return table
+    return None
 
 
 def _word_orders(n: int, a: int, b: int) -> tuple[int, ...]:
@@ -225,12 +227,16 @@ def enumerate_automorphisms(n: int) -> tuple[AutomorphismTable, ...]:
     return tuple(tables)
 
 
+def _conjugation_images(n: int, g: int) -> tuple[int, ...]:
+    """The images of p -> g * p * g**-1 for the element index g, unvalidated."""
+    s = sym(n)
+    at_g_times = itemgetter(*[col[g] for col in s.right])  # g*p, for each p
+    return at_g_times(s.right[s.inverse[g]])
+
+
 def conjugation_table(n: int, g: Permutation) -> AutomorphismTable:
     """The inner automorphism p -> g * p * g**-1."""
-    s = sym(n)
-    gi = s.index[g.images]
-    at_g_times = itemgetter(*[col[gi] for col in s.right])  # g*p, for each p
-    return AutomorphismTable(n, at_g_times(s.right[s.inverse[gi]]))
+    return AutomorphismTable(n, _conjugation_images(n, sym(n).index[g.images]))
 
 
 @lru_cache(maxsize=None)
@@ -247,14 +253,15 @@ def _conjugators(n: int) -> dict[tuple[int, int], int]:
 def inner_witness(table: AutomorphismTable) -> Permutation | None:
     """Some g whose conjugation equals the table, or None when outer.
 
-    g is looked up by the generator images, then checked on the full table.
+    g is looked up by the generator images, then checked on the full table;
+    the validated conjugation table is built only when the images disagree.
     """
-    s = sym(table.n)
-    gi = _conjugators(table.n).get((table.images[s.x], table.images[s.y]))
+    n, s = table.n, sym(table.n)
+    gi = _conjugators(n).get((table.images[s.x], table.images[s.y]))
     if gi is None:
         return None
     g = s.elements[gi]
-    if conjugation_table(table.n, g) != table:
+    if _conjugation_images(n, gi) != table.images and conjugation_table(n, g) != table:
         raise IntegrityError(
             "generator images match a conjugation but the tables differ"
         )

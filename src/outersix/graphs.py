@@ -85,10 +85,8 @@ class Graph:
 
     def vertex_map(self, automorphism: Permutation) -> dict:
         """Translate a position permutation into a vertex-to-vertex dict."""
-        return {
-            self.vertices[k - 1]: self.vertices[automorphism(k) - 1]
-            for k in range(1, self.n + 1)
-        }
+        vertices = self.vertices
+        return dict(zip(vertices, [vertices[k - 1] for k in automorphism.images]))
 
 
 def _normalize_colors(graph: Graph, colors: Mapping | None) -> tuple[int, ...]:

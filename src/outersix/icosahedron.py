@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
-from .autgroup import AutomorphismTable, conjugation_table, sym
+from .autgroup import AutomorphismTable, _conjugation_images, sym
 from .errors import IntegrityError
 from .graphs import Graph, automorphism_group, distances
 from .perms import Permutation, enumerate_sym
@@ -273,10 +274,9 @@ class DualPairTable:
         lexicographic order: how sigma permutes the classes, read on the
         letters.  Every other view of phi is read from this table."""
         index, images = sym(6).index, []
+        relabel = [itemgetter(*[v - 1 for v in rep]) for rep in self.class_reps]
         for sigma in enumerate_sym(6):
-            class_images = [
-                self.class_of[tuple(sigma(v) for v in rep)] for rep in self.class_reps
-            ]
+            class_images = [self.class_of[at(sigma.images)] for at in relabel]
             if sorted(class_images) != list(range(12)):
                 raise IntegrityError("relabeling scrambles the rotation classes")
             letter_images = [0] * 6
@@ -313,7 +313,8 @@ class DualPairTable:
         conjugation by ident after phi."""
         if ident.degree != 6:
             raise ValueError("an identification matches 6 letters with 6 points")
-        return conjugation_table(6, ident).compose(self._phi)
+        conjugation = _conjugation_images(6, sym(6).index[ident.images])
+        return AutomorphismTable._raw(6, itemgetter(*self._phi.images)(conjugation))
 
     def all_outer_automorphisms(self) -> frozenset[AutomorphismTable]:
         """One automorphism per identification of letters with points."""

@@ -160,6 +160,21 @@ def test_extend_returns_only_a_certified_table(monkeypatch):
     assert extend(5, x_image, y_image) is None
 
 
+@pytest.mark.parametrize(
+    "n, sign", [(3, False), (4, False), (5, False), (6, False), (4, True), (6, True)]
+)
+def test_extend_rejects_a_homomorphism_with_a_kernel(n, sign):
+    # The trivial map (e, e), or the sign map ((1,2), (1,2)): the n-cycle is
+    # odd for even n, so the sign map sends it to (1,2) as well.
+    s = sym(n)
+    image = s.x if sign else s.identity
+    fill = tuple(
+        image if (n - len(p.cycle_type())) % 2 else s.identity for p in s.elements
+    )
+    assert AutomorphismTable._raw(n, fill).is_homomorphism()
+    assert extend(n, image, image) is None
+
+
 @pytest.mark.parametrize("n, survivors", [(3, 6), (4, 24), (5, 120), (6, 1440)])
 def test_relation_filter_drops_only_pairs_the_fill_rejects(
     n, survivors, monkeypatch, reset_caches

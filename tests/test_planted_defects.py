@@ -127,18 +127,6 @@ def lose_a_transposition_from_a_star(monkeypatch):
     monkeypatch.setattr(involutions, "star", planted)
 
 
-def lose_order_three_at_degree_seven(monkeypatch):
-    product_orders = involutions._product_orders
-
-    def planted(n, j):
-        x0, first = product_orders(n, j)
-        if (n, j) == (7, 1):
-            first = {order: y for order, y in first.items() if order != 3}
-        return x0, first
-
-    monkeypatch.setattr(involutions, "_product_orders", planted)
-
-
 def be_off_by_one_in_the_order_walk(monkeypatch):
     order_of = involutions.order_of  # the name the sweep calls, not Permutation.order
     monkeypatch.setattr(involutions, "order_of", lambda images: order_of(images) + 1)
@@ -398,6 +386,16 @@ def identify_through_a_conjugation(monkeypatch):
     )
 
 
+def identify_one_two_as_the_identity(monkeypatch):
+    outer_from = icosahedron.DualPairTable.outer_from_identification
+    one_two, identity = Permutation.transposition(6, 1, 2), Permutation.identity(6)
+
+    def planted(table, ident):  # the identity's table twice, (1,2)'s never
+        return outer_from(table, identity if ident == one_two else ident)
+
+    monkeypatch.setattr(icosahedron.DualPairTable, "outer_from_identification", planted)
+
+
 def move_an_edge_to_the_wrong_lines(monkeypatch):
     doily = k6.doily()
     lines = [set(line) for line in doily.lines]
@@ -602,7 +600,7 @@ PLANTS = {
         "maximal sets differ from stars",
     ),
     "spectrum-survey": (
-        lose_order_three_at_degree_seven,
+        _edit_orders(7, 1, dropping(3)),
         (),
         ("spectrum-survey",),
         "transposition spectrum at degree 7 is [1, 2]",
@@ -759,6 +757,12 @@ PLANTS = {
     ),
     "induced-map-outer": (
         identify_through_a_conjugation, (), ("induced-map-outer",), "phi(C_1) != C_3"
+    ),
+    "induced-map-outer/coset": (
+        identify_one_two_as_the_identity,
+        (),
+        ("induced-map-outer",),
+        "identifications miss or exceed the outer coset",
     ),
     "induced-map-outer/injective": (  # phi lives on the cached table
         send_two_relabelings_to_one_letter_permutation,
