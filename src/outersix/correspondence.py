@@ -2,22 +2,23 @@
 
 Each vertex of the 30-vertex edge/factor incidence graph stands for one
 element of Sym_6: an edge vertex for its transposition, a factor vertex for
-its triple involution.  The graph engine searches with no coloring, so the
-parts are free to swap; _sends_edges_to_factors is the one place that reads
-whether a vertex map keeps the two parts or exchanges them, and it refuses
-a map that sends either part into both.  Every automorphism of Sym_6 found
-by autgroup.enumerate_automorphisms is keyed by its images of the 30
-vertex elements, in vertex order; a graph automorphism is transported by
-building the same key from its vertex map and looking the table up.  The
-key is the whole vertex map, so a table is returned only when it agrees
-with the graph map on every vertex of both parts, and the transpositions
-alone generate Sym_6, so no two tables share a key: each of the 1440
-graph automorphisms yields one well-defined automorphism of Sym_6.
+its triple involution.  A cage automorphism is read by position, against
+the vertex order of tutte_graph().  The graph engine searches with no
+coloring, so the parts are free to swap; swaps_parts is the one place that
+reads whether a map keeps them or exchanges them, and it refuses a map that
+sends the edge part into both.  Every automorphism of Sym_6 is keyed by its
+images of the 30 vertex elements, in vertex order, and a cage automorphism
+is transported by building the same key from its images.  The key covers
+both parts, so a table is returned only when it agrees with the graph map
+on every vertex, and the transpositions alone generate Sym_6, so no two
+tables share a key: each of the 1440 graph automorphisms yields one
+well-defined automorphism of Sym_6.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .autgroup import AutomorphismTable, enumerate_automorphisms, sym
 from .errors import IntegrityError
@@ -35,20 +36,16 @@ def cage_automorphisms() -> tuple[Permutation, ...]:
     return found
 
 
-def _sends_edges_to_factors(vertex_map: dict) -> bool:
-    """Whether a cage vertex map sends the edge part onto the factor part.
-
-    Raises IntegrityError when either part lands in both parts."""
-    action = {}
-    for v, w in vertex_map.items():
-        if action.setdefault(v[0], w[0]) != w[0]:
-            part = "edge" if v[0] == "e" else "factor"
-            raise IntegrityError(f"{part} vertices map to a mix of both parts")
-    return action["e"] == "f"
-
-
 def swaps_parts(automorphism: Permutation) -> bool:
-    return _sends_edges_to_factors(tutte_graph().vertex_map(automorphism))
+    """Whether a cage automorphism sends the edge part onto the factor part.
+
+    A bijection that keeps the 15 edge vertices in one 15-vertex part sends
+    the factor part to the other, so only the edge part is read."""
+    vertices, images = tutte_graph().vertices, automorphism.images
+    sides = {vertices[k - 1][0] for v, k in zip(vertices, images) if v[0] == "e"}
+    if len(sides) != 1:
+        raise IntegrityError("edge vertices map to a mix of both parts")
+    return sides == {"f"}
 
 
 def involutive_swaps_count() -> int:
@@ -59,31 +56,22 @@ def involutive_swaps_count() -> int:
 
 
 @lru_cache(maxsize=None)
-def _vertex_elements() -> dict:
-    """The Sym_6 element index of each cage vertex, in vertex order."""
-    s = sym(6)
+def _tables_by_vertex_images() -> tuple[tuple[int, ...], dict]:
+    """The Sym_6 element index of each cage vertex, in vertex order, and
+    each automorphism of Sym_6 keyed by its images of those elements."""
+    index = sym(6).index
     element = {"e": edge_to_transposition, "f": factor_to_involution}
-    return {v: s.index[element[v[0]](v[1]).images] for v in tutte_graph().vertices}
-
-
-@lru_cache(maxsize=None)
-def _tables_by_vertex_images() -> dict:
-    """Each automorphism of Sym_6 keyed by its images of the cage vertex
-    elements, in vertex order."""
-    elements = _vertex_elements().values()
-    return {
-        tuple(t.images[k] for k in elements): t for t in enumerate_automorphisms(6)
-    }
+    elements = tuple(index[element[v[0]](v[1]).images] for v in tutte_graph().vertices)
+    images_of = itemgetter(*elements)
+    return elements, {images_of(t.images): t for t in enumerate_automorphisms(6)}
 
 
 def graph_aut_to_group_aut(automorphism: Permutation) -> AutomorphismTable:
     """The Sym_6 automorphism that acts on the cage vertex elements as the
     cage automorphism acts on the vertices of tutte_graph()."""
-    vertex_map = tutte_graph().vertex_map(automorphism)
-    _sends_edges_to_factors(vertex_map)
-    element = _vertex_elements()
-    key = tuple(element[vertex_map[v]] for v in element)
-    table = _tables_by_vertex_images().get(key)
+    swaps_parts(automorphism)
+    elements, tables = _tables_by_vertex_images()
+    table = tables.get(tuple(elements[k - 1] for k in automorphism.images))
     if table is None:
         raise IntegrityError("cage vertex map matches no automorphism of Sym_6")
     return table

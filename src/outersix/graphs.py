@@ -83,11 +83,6 @@ class Graph:
     def has_edge(self, u: Hashable, v: Hashable) -> bool:
         return self._index[v] in self.adjacency[self._index[u]]
 
-    def vertex_map(self, automorphism: Permutation) -> dict:
-        """Translate a position permutation into a vertex-to-vertex dict."""
-        vertices = self.vertices
-        return dict(zip(vertices, [vertices[k - 1] for k in automorphism.images]))
-
 
 def _normalize_colors(graph: Graph, colors: Mapping | None) -> tuple[int, ...]:
     if colors is None:

@@ -280,6 +280,21 @@ def test_report_bytes_are_pinned(capsys, command, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_verify_all_report_bytes_do_not_depend_on_the_hash_seed(package_env, seed):
+    """Set and dict order must not reach a report: a child interpreter under
+    each hash seed prints the pinned verify-all --json bytes."""
+    digest = next(d for c, _, d in PINNED_REPORTS if c == "verify-all --json")
+    completed = subprocess.run(
+        [sys.executable, "-m", "outersix.cli", "verify-all", "--json"],
+        capture_output=True,
+        timeout=300,
+        env={**package_env, "PYTHONHASHSEED": seed},
+    )
+    assert completed.returncode == 0
+    assert hashlib.sha256(completed.stdout).hexdigest() == digest
+
+
 def test_out_writes_the_payload_to_a_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -16,7 +16,7 @@ from outersix.correspondence import (
     swaps_parts,
 )
 from outersix.errors import IntegrityError
-from outersix.k6 import tutte_graph
+from outersix.k6 import edge_to_transposition, factor_to_involution, tutte_graph
 from outersix.perms import Permutation
 
 
@@ -78,6 +78,21 @@ def test_correspondence_respects_inverse():
     for cage_aut, table in rng.sample(pairs, 40):
         assert by_graph_aut[cage_aut.inverse()] == table.inverse()
 
+
+def test_each_table_agrees_with_its_cage_map_on_every_vertex():
+    """The induced table sends the Sym_6 element of each cage vertex v to the
+    element of a(v), on both parts."""
+    vertices = tutte_graph().vertices
+    of_tag = {"e": edge_to_transposition, "f": factor_to_involution}
+
+    def element(position):
+        tag, x = vertices[position - 1]
+        return of_tag[tag](x)
+
+    rng = random.Random(0x5EED)
+    for a, table in rng.sample(correspondence(), 40):
+        for v in range(1, len(vertices) + 1):
+            assert table.apply(element(v)) == element(a(v))
 
 
 def test_swapping_an_edge_and_a_factor_vertex_is_an_integrity_error():

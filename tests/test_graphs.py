@@ -165,7 +165,7 @@ def test_known_group_orders():
 def test_automorphisms_fix_adjacency():
     g = petersen()
     for p in automorphism_group(g):
-        mapping = g.vertex_map(p)
+        mapping = dict(zip(g.vertices, [g.vertices[k - 1] for k in p.images]))
         for u, v in ((a, b) for a in range(10) for b in range(a + 1, 10)):
             assert g.has_edge(u, v) == g.has_edge(mapping[u], mapping[v])
 

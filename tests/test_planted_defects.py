@@ -435,9 +435,12 @@ def repeat_a_cage_automorphism(monkeypatch):
 
 
 def unmatch_a_cage_map(monkeypatch):
-    tables = dict(correspondence._tables_by_vertex_images())
+    elements, tables = correspondence._tables_by_vertex_images()
+    tables = dict(tables)
     del tables[next(iter(tables))]
-    monkeypatch.setattr(correspondence, "_tables_by_vertex_images", lambda: tables)
+    monkeypatch.setattr(
+        correspondence, "_tables_by_vertex_images", lambda: (elements, tables)
+    )
 
 
 def drop_an_automorphism(monkeypatch):
@@ -799,8 +802,8 @@ PLANTS = {
     ),
     "k6-dictionary/factorizations": (  # every cache that reads the factors
         drop_the_last_factor,
-        (k6.tutte_graph, correspondence.cage_automorphisms)
-        + (correspondence._vertex_elements, correspondence._tables_by_vertex_images),
+        (k6.tutte_graph, correspondence.cage_automorphisms,
+         correspondence._tables_by_vertex_images),
         ("k6-dictionary", "cage-correspondence", "involutive-counts"),
         "expected 6 one-factorizations, found 4",
     ),
