@@ -6,13 +6,13 @@ its triple involution.  A cage automorphism is read by position, against
 the vertex order of tutte_graph().  The graph engine searches with no
 coloring, so the parts are free to swap; swaps_parts is the one place that
 reads whether a map keeps them or exchanges them, and it refuses a map that
-sends the edge part into both.  Every automorphism of Sym_6 is keyed by its
-images of the 30 vertex elements, in vertex order, and a cage automorphism
-is transported by building the same key from its images.  The key covers
-both parts, so a table is returned only when it agrees with the graph map
-on every vertex, and the transpositions alone generate Sym_6, so no two
-tables share a key: each of the 1440 graph automorphisms yields one
-well-defined automorphism of Sym_6.
+sends the edge part into both.  correspondence() is the one transport pass
+and caches nothing: it keys each automorphism of Sym_6 by its images of the
+30 vertex elements, in vertex order, and reads each cage map once, for its
+part action and for the same key built from its images.  The key covers
+both parts, so a table is returned only when it agrees with the map on
+every vertex, and the transpositions alone generate Sym_6, so no two tables
+share a key: each of the 1440 cage maps yields one automorphism of Sym_6.
 """
 
 from __future__ import annotations
@@ -55,28 +55,21 @@ def involutive_swaps_count() -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _tables_by_vertex_images() -> tuple[tuple[int, ...], dict]:
-    """The Sym_6 element index of each cage vertex, in vertex order, and
-    each automorphism of Sym_6 keyed by its images of those elements."""
+def correspondence() -> tuple[tuple[Permutation, AutomorphismTable, bool], ...]:
+    """Each cage automorphism with its induced Sym_6 automorphism, the one
+    that acts on the cage vertex elements as the map acts on the vertices,
+    and whether the map swaps the parts."""
+    maps = cage_automorphisms()  # before the Sym_6 search, for a lower peak RSS
     index = sym(6).index
     element = {"e": edge_to_transposition, "f": factor_to_involution}
     elements = tuple(index[element[v[0]](v[1]).images] for v in tutte_graph().vertices)
     images_of = itemgetter(*elements)
-    return elements, {images_of(t.images): t for t in enumerate_automorphisms(6)}
-
-
-def graph_aut_to_group_aut(automorphism: Permutation) -> AutomorphismTable:
-    """The Sym_6 automorphism that acts on the cage vertex elements as the
-    cage automorphism acts on the vertices of tutte_graph()."""
-    swaps_parts(automorphism)
-    elements, tables = _tables_by_vertex_images()
-    table = tables.get(tuple(elements[k - 1] for k in automorphism.images))
-    if table is None:
-        raise IntegrityError("cage vertex map matches no automorphism of Sym_6")
-    return table
-
-
-def correspondence() -> tuple[tuple[Permutation, AutomorphismTable], ...]:
-    """Each cage automorphism with its induced Sym_6 automorphism."""
-    return tuple((a, graph_aut_to_group_aut(a)) for a in cage_automorphisms())
+    tables = {images_of(t.images): t for t in enumerate_automorphisms(6)}
+    found = []
+    for a in maps:
+        swaps = swaps_parts(a)
+        table = tables.get(tuple(elements[k - 1] for k in a.images))
+        if table is None:
+            raise IntegrityError("cage vertex map matches no automorphism of Sym_6")
+        found.append((a, table, swaps))
+    return tuple(found)

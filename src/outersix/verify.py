@@ -159,12 +159,12 @@ def check_k6_dictionary() -> dict:
 def check_cage_correspondence() -> dict:
     """1440 cage automorphisms map bijectively onto Aut(Sym_6), parts
     preserved exactly for the inner half."""
-    pairs = correspondence.correspondence()
-    tables = {t for _, t in pairs}
+    triples = correspondence.correspondence()
+    tables = {t for _, t, _ in triples}
     aut = set(autgroup.enumerate_automorphisms(6))
     _demand(tables == aut, "induced tables miss Aut(Sym_6)")
     inner, _ = autgroup.inner_and_outer(6)
-    preserving = {t for a, t in pairs if not correspondence.swaps_parts(a)}
+    preserving = {t for _, t, swaps in triples if not swaps}
     _demand(preserving == set(inner), "part-preserving half is not Inn")
     return {"cage_automorphisms": 1440, "preserving": len(preserving)}
 

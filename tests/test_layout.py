@@ -52,7 +52,7 @@ CACHES = {
     "autgroup.sym", "autgroup.enumerate_automorphisms", "autgroup._conjugators",
     "autgroup.inner_and_outer", "involutions._product_orders",
     "icosahedron.dual_pair_table", "k6.tutte_graph",
-    "correspondence.cage_automorphisms", "correspondence._tables_by_vertex_images",
+    "correspondence.cage_automorphisms",
 }
 
 

@@ -419,13 +419,15 @@ def drop_the_last_factor(monkeypatch):
 
 
 def mix_the_parts(monkeypatch):
-    pairs = list(correspondence.correspondence())
+    # A 3-cycle, so that involutive-counts, which reads only maps of order 2,
+    # never meets it.
     graph = k6.tutte_graph()
     images = list(range(1, graph.n + 1))
     a, b = graph.index(("e", (1, 2))), graph.index(("f", ((1, 2), (3, 4), (5, 6))))
-    images[a], images[b] = images[b], images[a]
-    pairs[0] = (Permutation(images), pairs[0][1])
-    monkeypatch.setattr(correspondence, "correspondence", lambda: tuple(pairs))
+    c = graph.index(("e", (3, 4)))
+    images[a], images[b], images[c] = images[b], images[c], images[a]
+    planted = (Permutation(images),) + correspondence.cage_automorphisms()[1:]
+    monkeypatch.setattr(correspondence, "cage_automorphisms", lambda: planted)
 
 
 def repeat_a_cage_automorphism(monkeypatch):
@@ -435,12 +437,8 @@ def repeat_a_cage_automorphism(monkeypatch):
 
 
 def unmatch_a_cage_map(monkeypatch):
-    elements, tables = correspondence._tables_by_vertex_images()
-    tables = dict(tables)
-    del tables[next(iter(tables))]
-    monkeypatch.setattr(
-        correspondence, "_tables_by_vertex_images", lambda: (elements, tables)
-    )
+    tables = autgroup.enumerate_automorphisms(6)[:-1]
+    monkeypatch.setattr(correspondence, "enumerate_automorphisms", lambda n: tables)
 
 
 def drop_an_automorphism(monkeypatch):
@@ -532,7 +530,6 @@ def conjugate_by_a_left_product(monkeypatch):
 
 READ_SYM6_RIGHT = (  # every cache that reads sym(6).right
     autgroup.enumerate_automorphisms, autgroup._conjugators, autgroup.inner_and_outer,
-    correspondence._tables_by_vertex_images,
 )
 
 # row: (plant, caches to clear, failing checks in registry order, message fragment)
@@ -802,8 +799,7 @@ PLANTS = {
     ),
     "k6-dictionary/factorizations": (  # every cache that reads the factors
         drop_the_last_factor,
-        (k6.tutte_graph, correspondence.cage_automorphisms,
-         correspondence._tables_by_vertex_images),
+        (k6.tutte_graph, correspondence.cage_automorphisms),
         ("k6-dictionary", "cage-correspondence", "involutive-counts"),
         "expected 6 one-factorizations, found 4",
     ),
