@@ -122,12 +122,6 @@ class AutomorphismTable:
             raise ValueError("degree mismatch")
         return AutomorphismTable._raw(self.n, itemgetter(*other.images)(self.images))
 
-    def inverse(self) -> "AutomorphismTable":
-        images = [0] * len(self.images)
-        for k, v in enumerate(self.images):
-            images[v] = k
-        return AutomorphismTable(self.n, images)
-
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images))
 

@@ -94,10 +94,6 @@ class IcosahedronModel:
         )
 
 
-def build_model() -> IcosahedronModel:
-    return IcosahedronModel()
-
-
 def _canonical(face: tuple[int, ...]) -> tuple[int, ...]:
     """The cyclic rotation of an oriented face that starts at its least vertex."""
     k = face.index(min(face))
@@ -114,7 +110,7 @@ def preserves_orientation(model: IcosahedronModel, symmetry: Permutation) -> boo
 
 def full_symmetry_group() -> tuple[Permutation, ...]:
     """All 120 skeleton automorphisms (vertex ids equal positions)."""
-    symmetries = automorphism_group(build_model().skeleton)
+    symmetries = automorphism_group(IcosahedronModel().skeleton)
     if len(symmetries) != 120:
         raise IntegrityError(f"expected 120 symmetries, found {len(symmetries)}")
     return symmetries
@@ -122,7 +118,7 @@ def full_symmetry_group() -> tuple[Permutation, ...]:
 
 def rotation_group() -> tuple[Permutation, ...]:
     """The 60 orientation-preserving symmetries."""
-    model, symmetries = build_model(), full_symmetry_group()
+    model, symmetries = IcosahedronModel(), full_symmetry_group()
     rotations = tuple(s for s in symmetries if preserves_orientation(model, s))
     if len(rotations) != 60:
         raise IntegrityError(f"expected 60 rotations, found {len(rotations)}")
@@ -142,7 +138,7 @@ def rotation_group() -> tuple[Permutation, ...]:
 
 def _distance2_triangles() -> tuple[frozenset[int], ...]:
     """The 20 triangles of the graph joining skeleton vertices at distance 2."""
-    model = build_model()
+    model = IcosahedronModel()
     pairs = [
         (u, v)
         for u in model.vertices
@@ -169,7 +165,7 @@ class DualPairTable:
     induced action of Sym_6 on the 6 lettered pairs."""
 
     def __init__(self):
-        self.model = build_model()
+        self.model = IcosahedronModel()
         self.rotations = rotation_group()
         self.pairs = self.model.antipodal_pairs()
         self._pair_of_vertex = {v: k for k, pair in enumerate(self.pairs) for v in pair}
@@ -255,24 +251,22 @@ class DualPairTable:
             frozenset(label[v] for v in triangle) for triangle in triangles
         )
 
-    def dual_class_via_skeleton(self, class_index: int) -> int:
-        """Partner class read off the distance-2 skeleton, an independent
-        route that never looks at triple complements."""
-        triples = self._label_triples(
-            self.class_reps[class_index], _distance2_triangles()
+    def duals_via_skeleton(self) -> tuple[int | None, ...]:
+        """Each class's partner read off the 20 distance-2 triangles, built once:
+        an independent route that never looks at triple complements.  None
+        where the triples a class's labeling puts on them match no class."""
+        triangles = _distance2_triangles()
+        return tuple(
+            self._class_by_triples.get(self._label_triples(rep, triangles))
+            for rep in self.class_reps
         )
-        partner = self._class_by_triples.get(triples)
-        if partner is None:
-            raise IntegrityError(
-                "distance-2 triangle triples match no rotation class"
-            )
-        return partner
 
     @cached_property
     def _phi(self) -> AutomorphismTable:
         """phi as one table over sym(6), row k for the k-th relabeling sigma in
         lexicographic order: how sigma permutes the classes, read on the
-        letters.  Every other view of phi is read from this table."""
+        letters.  Every other view of phi is read from this table; the two
+        guards make each row a permutation, as each letter owns two classes."""
         index, images = sym(6).index, []
         relabel = [itemgetter(*[v - 1 for v in rep]) for rep in self.class_reps]
         for sigma in enumerate_sym(6):
@@ -288,7 +282,7 @@ class DualPairTable:
                         "relabeling sends one dual pair onto two different pairs"
                     )
                 letter_images[src - 1] = dst
-            images.append(index[Permutation(letter_images).images])
+            images.append(index[tuple(letter_images)])
         return AutomorphismTable(6, images)
 
     def pair_permutation(self, sigma: Permutation) -> Permutation:

@@ -116,12 +116,6 @@ class IncidenceStructure:
     def lines_through(self, point) -> tuple[frozenset, ...]:
         return tuple(line for line in self.lines if point in line)
 
-    def dual(self) -> "IncidenceStructure":
-        """Swap the roles: old lines become points, old points lines."""
-        return IncidenceStructure(
-            self.lines, (self.lines_through(point) for point in self.points)
-        )
-
 
 def doily() -> IncidenceStructure:
     """The generalized quadrangle GQ(2,2): K6 edges against one-factors."""

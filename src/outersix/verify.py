@@ -103,14 +103,14 @@ def check_labeled_icosahedra() -> dict:
     """720 labelings fall into 12 rotation classes of 60 with dual pairing.
 
     Building the table raises IntegrityError on a wrong count of rotations,
-    symmetries, classes, orbit sizes or triples, and on a broken pairing;
-    the distance-2 skeleton is a second route to each partner class."""
+    symmetries, classes, orbit sizes or triples, and on a broken pairing.
+    The distance-2 triangles, built once, are a second route to each partner."""
     table = icosahedron.dual_pair_table()
-    for c in range(12):
+    for c, partner in enumerate(table.duals_via_skeleton()):
         _demand(
-            table.dual_class_via_skeleton(c) == table.dual[c],
-            f"distance-2 route disagrees at class {c}",
+            partner is not None, "distance-2 triangle triples match no rotation class"
         )
+        _demand(partner == table.dual[c], f"distance-2 route disagrees at class {c}")
     return {"classes": 12, "orbit_size": 60, "dual_pairs": 6}
 
 

@@ -280,19 +280,32 @@ def test_report_bytes_are_pinned(capsys, command, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("seed", ["0", "1"])
-def test_verify_all_report_bytes_do_not_depend_on_the_hash_seed(package_env, seed):
-    """Set and dict order must not reach a report: a child interpreter under
-    each hash seed prints the pinned verify-all --json bytes."""
-    digest = next(d for c, _, d in PINNED_REPORTS if c == "verify-all --json")
+def assert_pinned_under_hash_seed(package_env, command, seed):
+    """A child interpreter under the hash seed prints the command's pinned bytes."""
+    digest = next(d for c, _, d in PINNED_REPORTS if c == command)
     completed = subprocess.run(
-        [sys.executable, "-m", "outersix.cli", "verify-all", "--json"],
+        [sys.executable, "-m", "outersix.cli", *command.split()],
         capture_output=True,
         timeout=300,
         env={**package_env, "PYTHONHASHSEED": seed},
     )
     assert completed.returncode == 0
     assert hashlib.sha256(completed.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_verify_all_report_bytes_do_not_depend_on_the_hash_seed(package_env, seed):
+    """Set and dict order must not reach a report: a child interpreter under
+    each hash seed prints the pinned verify-all --json bytes."""
+    assert_pinned_under_hash_seed(package_env, "verify-all --json", seed)
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("emit", ["labelings", "pairs", "phi"])
+def test_icosa_report_bytes_do_not_depend_on_the_hash_seed(package_env, emit, seed):
+    """The rotation classes, their pairing and phi are read from sets and
+    dicts; none of that order may reach the icosa --json reports."""
+    assert_pinned_under_hash_seed(package_env, f"icosa --emit {emit} --json", seed)
 
 
 def test_out_writes_the_payload_to_a_file(tmp_path, capsys):

@@ -15,7 +15,7 @@ from outersix.graphs import (
     girth,
     is_bipartite,
 )
-from outersix.icosahedron import build_model
+from outersix.icosahedron import IcosahedronModel
 from outersix.k6 import tutte_graph
 from outersix.perms import Permutation
 from outersix.verify import oracle_corpus
@@ -227,7 +227,7 @@ def test_girth_frozen_values():
     assert girth(petersen()) == 5
     assert girth(Graph(range(7), [(v, (v + 1) % 7) for v in range(7)])) == 7
     assert girth(tutte_graph()) == 8
-    assert girth(build_model().skeleton) == 3
+    assert girth(IcosahedronModel().skeleton) == 3
 
 
 def test_girth_of_forests_is_infinite():

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from outersix import icosahedron, verify
 from outersix.autgroup import class_image, inner_and_outer, inner_witness
 from outersix.graphs import distances
 from outersix.icosahedron import (
-    build_model,
+    IcosahedronModel,
     dual_pair_table,
     full_symmetry_group,
     preserves_orientation,
@@ -18,7 +19,7 @@ from outersix.perms import Permutation, enumerate_sym
 
 
 def test_model_shape():
-    m = build_model()
+    m = IcosahedronModel()
     assert len(m.vertices) == 12
     assert m.skeleton.edge_count() == 30
     assert len(m.faces) == 20
@@ -30,7 +31,7 @@ def test_model_shape():
 
 
 def test_antipodal_map():
-    m = build_model()
+    m = IcosahedronModel()
     a = m.antipode
     assert all(a[a[v]] == v and a[v] != v for v in m.vertices)
     assert all(distances(m.skeleton, v)[a[v]] == 3 for v in m.vertices)
@@ -59,7 +60,7 @@ def test_rotations_form_a_group():
 
 
 def test_antipodal_map_reverses_orientation():
-    m = build_model()
+    m = IcosahedronModel()
     antipodal = Permutation(tuple(m.antipode[v] for v in m.vertices))
     assert antipodal in full_symmetry_group()
     assert not preserves_orientation(m, antipodal)
@@ -112,8 +113,19 @@ def test_triples_are_constant_on_orbits():
 
 def test_dual_via_skeleton_matches_complement_route():
     t = dual_pair_table()
-    for c in range(12):
-        assert t.dual_class_via_skeleton(c) == t.dual[c]
+    assert t.duals_via_skeleton() == t.dual
+
+
+def test_the_check_builds_the_distance_two_triangles_once(monkeypatch):
+    triangles, calls = icosahedron._distance2_triangles, []
+
+    def counted():
+        calls.append(None)
+        return triangles()
+
+    monkeypatch.setattr(icosahedron, "_distance2_triangles", counted)
+    verify.check_labeled_icosahedra()
+    assert len(calls) == 1
 
 
 def test_pair_permutation_basics():

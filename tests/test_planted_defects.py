@@ -160,7 +160,7 @@ def count_one_more_at_seven_three(monkeypatch):
 
 
 def read_the_faces_as_distance_two_triangles(monkeypatch):
-    faces = icosahedron.build_model().faces
+    faces = icosahedron.IcosahedronModel().faces
     monkeypatch.setattr(icosahedron, "_distance2_triangles", lambda: faces)
 
 
@@ -219,7 +219,8 @@ def _misread_orientation(pick):
     symmetries pick(rotations, reflections, antipodal map) returns."""
 
     def plant(monkeypatch):
-        preserves, model = icosahedron.preserves_orientation, icosahedron.build_model()
+        preserves = icosahedron.preserves_orientation
+        model = icosahedron.IcosahedronModel()
         symmetries = icosahedron.full_symmetry_group()
         rotations = [s for s in symmetries if preserves(model, s)]
         reflections = [s for s in symmetries if not preserves(model, s)]
@@ -297,7 +298,7 @@ def _edit_distances(changes):
 
 def read_the_first_face_as_a_distance_two_triangle(monkeypatch):
     triangles = icosahedron._distance2_triangles
-    face = icosahedron.build_model().faces[0]
+    face = icosahedron.IcosahedronModel().faces[0]
     monkeypatch.setattr(
         icosahedron, "_distance2_triangles", lambda: (face,) + triangles()[1:]
     )
@@ -324,7 +325,7 @@ def break_the_rotation_group(monkeypatch):
     # permutation of the six pairs: the 60 maps still act freely on the
     # labelings, but they are no longer a group, so their orbits overlap.
     rotations = icosahedron.rotation_group()
-    (a, b), (c, d) = icosahedron.build_model().antipodal_pairs()[:2]
+    (a, b), (c, d) = icosahedron.IcosahedronModel().antipodal_pairs()[:2]
     swap = Permutation.from_cycles(12, [(a, c), (b, d)])
     planted = rotations[:1] + (swap * rotations[1],) + rotations[2:]
     monkeypatch.setattr(icosahedron, "rotation_group", lambda: planted)
