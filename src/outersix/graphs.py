@@ -1,13 +1,17 @@
-"""Small-graph automorphism search by consistency backtracking.
+"""Small-graph automorphism search by a stabiliser chain of backtracks.
 
 The engine maps vertices one at a time, in an order fixed once per graph:
 the next vertex is the unmapped one with the most mapped neighbors, ties
 going to the lowest index.  A vertex with a mapped neighbor can only go to
 a neighbor of that neighbor's image; any other vertex can go anywhere.  A
 candidate must be unused, have the same color and degree, be adjacent to
-the images of all mapped neighbors and to no other used vertex.  Every
-complete map is verified edge by edge and color by color before it is
-accepted, so pruning only prunes, it never vouches.
+the images of all mapped neighbors and to no other used vertex.
+
+The group is read from a stabiliser chain (Sims 1970): with the first d
+vertices of the order fixed, the backtrack keeps one verified complete map
+per image of vertex d, and the group is every product of one kept map per
+level.  Each product is checked again, edge by edge and color by color, so
+pruning only prunes, it never vouches.
 
 Automorphisms are returned as Permutation objects acting on 1-based vertex
 positions: position k stands for graph.vertices[k-1].  A coloring is always
@@ -26,6 +30,7 @@ import itertools
 import math
 from typing import Hashable, Iterable, Mapping
 
+from .errors import IntegrityError
 from .perms import Permutation
 
 MAX_SEARCH_VERTICES = 64
@@ -117,45 +122,80 @@ def _search(graph: Graph, base_colors: tuple[int, ...]) -> list[tuple[int, ...]]
     image = [-1] * n
     used = [False] * n
     used_neighbors = [0] * n  # per vertex, how many of its neighbors are used
-    found: list[tuple[int, ...]] = []
 
-    def descend(depth):
-        if depth == n:
-            if all(
-                base_colors[v] == base_colors[image[v]]
-                and {image[w] for w in adjacency[v]} == adjacency[image[v]]
-                for v in range(n)
-            ):
-                found.append(tuple(image))
-            return
+    def candidates(depth):
         v, mapped_neighbors = order[depth]
         anchors = [image[u] for u in mapped_neighbors]
         for w in adjacency[anchors[0]] if anchors else range(n):
-            if (
+            if not (
                 used[w]
                 or base_colors[w] != base_colors[v]
                 or len(adjacency[w]) != len(adjacency[v])
                 or used_neighbors[w] != len(anchors)
                 or not all(a in adjacency[w] for a in anchors)
             ):
-                continue
-            image[v], used[w] = w, True
-            for x in adjacency[w]:
-                used_neighbors[x] += 1
-            descend(depth + 1)
-            for x in adjacency[w]:
-                used_neighbors[x] -= 1
-            image[v], used[w] = -1, False
+                yield w
 
-    descend(0)
-    return found
+    def first_leaf(depth, w):
+        """The first complete map that extends the current one, sends vertex
+        order[depth] to w and passes the color and neighbor-set test."""
+        v = order[depth][0]
+        image[v], used[w] = w, True
+        for x in adjacency[w]:
+            used_neighbors[x] += 1
+        leaf = None
+        if depth + 1 < n:
+            for x in candidates(depth + 1):
+                leaf = first_leaf(depth + 1, x)
+                if leaf:
+                    break
+        elif all(
+            base_colors[u] == base_colors[image[u]]
+            and {image[x] for x in adjacency[u]} == adjacency[image[u]]
+            for u in range(n)
+        ):
+            leaf = tuple(image)
+        for x in adjacency[w]:
+            used_neighbors[x] -= 1
+        image[v], used[w] = -1, False
+        return leaf
+
+    transversals = []
+    for depth, (v, _) in enumerate(order):  # order[:depth] stays fixed pointwise
+        leaves = (first_leaf(depth, w) for w in candidates(depth) if w != v)
+        transversals.append([tuple(range(n)), *filter(None, leaves)])
+        image[v], used[v] = v, True
+        for x in adjacency[v]:
+            used_neighbors[x] += 1
+    return _products(transversals, adjacency, base_colors)
+
+
+def _products(transversals, adjacency, colors) -> list[tuple[int, ...]]:
+    """Every product u_0·u_1·…·u_{n-1} of one map from each transversal; each
+    must be a distinct bijection that keeps every edge and every color."""
+    n = len(adjacency)
+    edges = [(u, v) for u in range(n) for v in adjacency[u] if u < v]
+    group = [tuple(range(n))]
+    for transversal in reversed(transversals):
+        group = [tuple(map(u.__getitem__, h)) for u in transversal for h in group]
+    wrong = sum(
+        len(set(p)) != n
+        or tuple(map(colors.__getitem__, p)) != colors
+        or any(p[v] not in adjacency[p[u]] for u, v in edges)
+        for p in group
+    )
+    if wrong or len(set(group)) != len(group):
+        raise IntegrityError(
+            f"{len(group)} transversal products hold {len(set(group))} distinct "
+            f"maps and {wrong} that are no automorphism"
+        )
+    return group
 
 
 def _as_permutations(mappings) -> tuple[Permutation, ...]:
+    """Sorted Permutations of vertex maps already known to be bijections."""
     return tuple(
-        sorted(
-            Permutation(tuple(m + 1 for m in mapping)) for mapping in mappings
-        )
+        Permutation._raw(tuple(m + 1 for m in mapping)) for mapping in sorted(mappings)
     )
 
 

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from outersix.correspondence import cage_automorphisms, swaps_parts
+from outersix.errors import IntegrityError
 from outersix.graphs import (
     MAX_BRUTE_FORCE_VERTICES,
     MAX_SEARCH_VERTICES,
     Graph,
+    _products,
     automorphism_group,
     brute_force_automorphisms,
     distances,
@@ -143,6 +145,15 @@ def torus_graph(steps):
     return Graph(cells, [(a, b) for a, b in pairs if step(a, b) in steps])
 
 
+def paley13():
+    squares = {k * k % 13 for k in range(1, 13)}
+    pairs = itertools.combinations(range(13), 2)
+    return Graph(range(13), [(u, v) for u, v in pairs if v - u in squares])
+
+
+SHRIKHANDE = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+
+
 def test_known_group_orders():
     assert len(automorphism_group(complete(4))) == 24
     assert len(automorphism_group(petersen())) == 120
@@ -154,12 +165,70 @@ def test_known_group_orders():
     assert len(automorphism_group(dodecahedron())) == 120
     rook = {(0, k) for k in (1, 2, 3)} | {(k, 0) for k in (1, 2, 3)}
     assert len(automorphism_group(torus_graph(rook))) == 1152
-    shrikhande = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
-    assert len(automorphism_group(torus_graph(shrikhande))) == 192
-    squares = {k * k % 13 for k in range(1, 13)}
-    pairs = itertools.combinations(range(13), 2)
-    paley13 = Graph(range(13), [(u, v) for u, v in pairs if v - u in squares])
-    assert len(automorphism_group(paley13)) == 78
+    assert len(automorphism_group(torus_graph(SHRIKHANDE))) == 192
+    assert len(automorphism_group(paley13())) == 78
+
+
+def vf2_automorphisms(nx, graph, colors=None):
+    """The vertex maps networkx's VF2 matcher finds from the graph onto
+    itself, as Permutation images; it shares no search code with the engine."""
+    g = nx.Graph()
+    g.add_nodes_from(graph.vertices)
+    g.add_edges_from(tuple(edge) for edge in graph.edges())
+    if colors is not None:
+        nx.set_node_attributes(g, colors, "color")
+    same = None if colors is None else lambda a, b: a["color"] == b["color"]
+    matcher = nx.algorithms.isomorphism.GraphMatcher(g, g, node_match=same)
+    return {
+        tuple(graph.index(m[v]) + 1 for v in graph.vertices)
+        for m in matcher.isomorphisms_iter()
+    }
+
+
+def test_engine_matches_vf2_beyond_the_brute_force():
+    nx = pytest.importorskip("networkx")
+    graphs = [petersen(), heawood(), hypercube(4), dodecahedron(), paley13()]
+    graphs += [torus_graph(SHRIKHANDE), IcosahedronModel().skeleton]
+    for graph in graphs:
+        expected = vf2_automorphisms(nx, graph)
+        found = automorphism_group(graph)
+        assert {p.images for p in found} == expected
+        assert len(found) == len(expected)
+
+
+def test_engine_matches_vf2_on_random_graphs_of_nine_to_twelve_vertices():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(0x5F2)
+    for trial in range(60):
+        n, density = rng.randint(9, 12), rng.uniform(0.3, 0.7)
+        if trial % 2:  # a prism: two copies of one graph, joined vertex to vertex
+            n = (n + 1) // 2
+        pairs = itertools.combinations(range(n), 2)
+        edges = [e for e in pairs if rng.random() < density]
+        if trial % 2:
+            edges += [(u + n, v + n) for u, v in edges] + [(v, v + n) for v in range(n)]
+            n *= 2
+        graph = Graph(range(n), edges)
+        for colors in (None, {v: rng.randrange(2) for v in range(n)}):
+            expected = vf2_automorphisms(nx, graph, colors)
+            found = automorphism_group(graph, colors)
+            assert {p.images for p in found} == expected, (trial, colors)
+            assert len(found) == len(expected)
+
+
+def test_transversal_products_refuse_a_repeat_or_a_non_automorphism():
+    square = Graph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    identity, turn, flip = (0, 1, 2, 3), (1, 2, 3, 0), (1, 0, 2, 3)
+    plain, corners = (0, 0, 0, 0), (0, 1, 0, 1)
+    products = _products([[identity, turn], [identity]], square.adjacency, plain)
+    assert sorted(products) == [identity, turn]
+    repeat = [[identity, turn], [identity, turn]]  # turn·identity = identity·turn
+    with pytest.raises(IntegrityError, match="4 .* hold 3 distinct maps and 0 "):
+        _products(repeat, square.adjacency, plain)
+    with pytest.raises(IntegrityError, match="2 .* hold 2 distinct maps and 1 "):
+        _products([[identity, flip]], square.adjacency, plain)  # breaks edge 1-2
+    with pytest.raises(IntegrityError, match="2 .* hold 2 distinct maps and 1 "):
+        _products([[identity, turn]], square.adjacency, corners)  # moves a color
 
 
 def test_automorphisms_fix_adjacency():

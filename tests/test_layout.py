@@ -15,7 +15,7 @@ from outersix import verify
 
 MAX_COLUMNS = 88
 MAX_PACKAGE_LINES = 2_608  # a change that adds lines brings its own offset
-GUARD_SITES = 65  # tools/guard_sweep.py shows each of them firing
+GUARD_SITES = 66  # tools/guard_sweep.py shows each of them firing
 ROOT = Path(__file__).resolve().parents[1]
 
 
