@@ -5,6 +5,9 @@ IntegrityError escape) when its claim does not hold.  run_checks collects
 outcomes without aborting, so a broken claim is reported, not crashed on;
 any other exception a check raises is that check's failure, reported as
 "{type}: {message} (at {file}:{line})" of the innermost traceback frame.
+Each check imports its own layers when it runs: a cold process compiles only
+what it imports, so a selection of checks, or a forked lane of run_checks,
+loads only the layers its checks read.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import marshal
 import os
 import random
 
-from . import autgroup, correspondence, graphs, icosahedron, involutions, k6
 from .errors import IntegrityError
-from .graphs import Graph
 from .perms import Permutation, enumerate_sym
 
 
@@ -31,6 +32,7 @@ def _demand(condition: bool, message: str) -> None:
 
 def check_outer_orders() -> dict:
     """Out(Sym_n) is trivial for n = 3, 4, 5 and has order 2 for n = 6."""
+    from . import autgroup
     orders = {n: autgroup.out_order(n) for n in (3, 4, 5, 6)}
     for n, expected in {3: 1, 4: 1, 5: 1, 6: 2}.items():
         _demand(orders[n] == expected, f"out order at degree {n} is {orders[n]}")
@@ -42,6 +44,7 @@ def check_aut_group_sizes() -> dict:
     and composing with outer[0] is injective, so the witnessed tables after
     outer[0] are exactly the outer ones when each lands among them and the
     two counts agree: one coset gives 720 + 720."""
+    from . import autgroup
     aut = len(autgroup.enumerate_automorphisms(6))
     inn = autgroup.inner_order(6)
     witnessed, outer = autgroup.inner_and_outer(6)
@@ -58,6 +61,7 @@ def check_aut_group_sizes() -> dict:
 
 def check_stars() -> dict:
     """Maximal independent transposition sets are exactly the point stars."""
+    from . import involutions
     sizes = {}
     for n in range(3, 8):
         found = involutions.maximal_independent_sets(n)
@@ -69,6 +73,7 @@ def check_stars() -> dict:
 
 def check_spectrum_survey() -> dict:
     """Only C_3 in degree 6 shares the transposition spectrum {1,2,3}."""
+    from . import involutions
     for n in range(4, 12):
         spectrum = involutions.product_order_spectrum(n, 1)
         _demand(
@@ -105,6 +110,7 @@ def check_labeled_icosahedra() -> dict:
     Building the table raises IntegrityError on a wrong count of rotations,
     symmetries, classes, orbit sizes or triples, and on a broken pairing.
     The distance-2 triangles, built once, are a second route to each partner."""
+    from . import icosahedron
     table = icosahedron.dual_pair_table()
     for c, partner in enumerate(table.duals_via_skeleton()):
         _demand(
@@ -122,6 +128,7 @@ def check_induced_map_is_outer() -> dict:
     types, so phi(C_1) = C_3 also shows that phi has no inner witness.  Each
     identification's table is looked up among the outer tables: they are
     exactly the coset when the positions hit are all of them."""
+    from . import autgroup, icosahedron
     table = icosahedron.dual_pair_table()
     base = table.outer_from_identification(Permutation.identity(6))
     _demand(base.is_homomorphism(), "phi fails the homomorphism check")
@@ -148,6 +155,7 @@ def check_k6_dictionary() -> dict:
     would be a 4-cycle and a triangle of lines a 6-cycle, so the axioms give
     girth 8, and each edge joins an ('e', ...) vertex to an ('f', ...) one, so it
     is bipartite.  The GQ axioms are self-dual; the rest holds by construction."""
+    from . import k6
     _demand(
         all(len(k6.factorizations_through(f)) == 2 for f in k6.factors()),
         "a factor misses 2 factorizations",
@@ -159,6 +167,7 @@ def check_k6_dictionary() -> dict:
 def check_cage_correspondence() -> dict:
     """1440 cage automorphisms map bijectively onto Aut(Sym_6), parts
     preserved exactly for the inner half."""
+    from . import autgroup, correspondence
     triples = correspondence.correspondence()
     tables = {t for _, t, _ in triples}
     aut = set(autgroup.enumerate_automorphisms(6))
@@ -171,6 +180,7 @@ def check_cage_correspondence() -> dict:
 
 def check_involutive_counts() -> dict:
     """Both routes count 36 involutive outer automorphisms."""
+    from . import autgroup, correspondence
     from_tables = autgroup.involutive_outer_count()
     from_cage = correspondence.involutive_swaps_count()
     _demand(from_tables == 36, f"table count {from_tables}")
@@ -181,6 +191,7 @@ def check_involutive_counts() -> dict:
 def oracle_corpus() -> list[tuple[str, Graph, dict | None]]:
     """Small graphs (8 vertices or fewer) for the factorial oracle,
     including disconnected and vertex-transitive cases."""
+    from .graphs import Graph
 
     def cycle(k):
         return Graph(range(k), [(v, (v + 1) % k) for v in range(k)])
@@ -203,30 +214,15 @@ def oracle_corpus() -> list[tuple[str, Graph, dict | None]]:
         ]
         return Graph(vertices, edge_list)
 
-    cube = Graph(
-        range(8),
-        [
-            (u, v)
-            for u in range(8)
-            for v in range(u + 1, 8)
-            if bin(u ^ v).count("1") == 1
-        ],
-    )
-    complete_bipartite_23 = Graph(
-        range(5), [(a, b) for a in range(2) for b in range(2, 5)]
-    )
-    complete_bipartite_33 = Graph(
-        range(6), [(a, b) for a in range(3) for b in range(3, 6)]
-    )
-    octahedron = Graph(
-        range(6),
-        [
-            (u, v)
-            for u in range(6)
-            for v in range(u + 1, 6)
-            if v != u + 3 or u >= 3
-        ],
-    )
+    def complete_bipartite(a, b):
+        return Graph(range(a + b), [(u, v) for u in range(a) for v in range(a, a + b)])
+
+    def pairs_of(k, adjacent):
+        pairs = itertools.combinations(range(k), 2)
+        return Graph(range(k), [(u, v) for u, v in pairs if adjacent(u, v)])
+
+    cube = pairs_of(8, lambda u, v: bin(u ^ v).count("1") == 1)
+    octahedron = pairs_of(6, lambda u, v: v - u != 3)
     paw = Graph(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)])
     diamond = Graph(range(4), [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)])
     star5 = Graph(range(6), [(0, v) for v in range(1, 6)])
@@ -246,8 +242,8 @@ def oracle_corpus() -> list[tuple[str, Graph, dict | None]]:
         ("hexagon", cycle(6), None),
         ("heptagon", cycle(7), None),
         ("octagon", cycle(8), None),
-        ("complete bipartite 2x3", complete_bipartite_23, None),
-        ("complete bipartite 3x3", complete_bipartite_33, None),
+        ("complete bipartite 2x3", complete_bipartite(2, 3), None),
+        ("complete bipartite 3x3", complete_bipartite(3, 3), None),
         ("star with five leaves", star5, None),
         ("octahedron", octahedron, None),
         ("cube", cube, None),
@@ -257,22 +253,15 @@ def oracle_corpus() -> list[tuple[str, Graph, dict | None]]:
         ("triangle plus edge", disjoint(complete(3), complete(2)), None),
         ("two squares", disjoint(cycle(4), cycle(4)), None),
         ("path plus path", disjoint(path(3), path(2)), None),
-        (
-            "square, opposite corners marked",
-            cycle(4),
-            {0: 1, 1: 0, 2: 1, 3: 0},
-        ),
-        (
-            "hexagon, alternating colors",
-            cycle(6),
-            {v: v % 2 for v in range(6)},
-        ),
+        ("square, opposite corners marked", cycle(4), {0: 1, 1: 0, 2: 1, 3: 0}),
+        ("hexagon, alternating colors", cycle(6), {v: v % 2 for v in range(6)}),
     ]
     return corpus
 
 
 def check_engine_against_oracle() -> dict:
     """Backtrack search equals the factorial sweep on the whole corpus."""
+    from . import graphs
     corpus = oracle_corpus()
     for name, graph, colors in corpus:
         engine = graphs.automorphism_group(graph, colors)
