@@ -233,7 +233,7 @@ PINNED_REPORTS = [
     ("k6 --emit tutte --json", 0,
      "2c437fc371825c5c5ebac46f2dcb6e14cf2cd53f57e363c1e62de7638b601328"),
     ("verify-all --json", 0,
-     "e0240c2f18fe6a19b749bf12faefcd1e17c09bc5ac377e7d4e0f7d22cf358ece"),
+     "e5bb96ed67592882d64ca412cf19433331d14cd40fc7873aee8c1e6003ea44ce"),
     ("classes --n 6", 0,
      "f356b326ff779783e08b19df416572656c95daa4c424758194141cd7542bbecc"),
     ("lemma1 --n 5", 0,

@@ -520,6 +520,16 @@ def put_a_three_cycle_between_the_factors(mul, p, q):
     return mul(mul(p, Permutation.from_cycles(6, [(1, 2, 3)])), q)
 
 
+def swap_two_images_of_one_product(mul, p, q):
+    # Only (1,2,3) * (1,2,3,4,5,6) is wrong: the images of 1 and 2 trade places.
+    # Random triples of Sym_6 would almost never form this one product.
+    product = mul(p, q)
+    if (p.images, q.images) != ((2, 3, 1, 4, 5, 6), (2, 3, 4, 5, 6, 1)):
+        return product
+    a, b, *rest = product.images
+    return Permutation((b, a, *rest))
+
+
 def conjugate_by_a_left_product(monkeypatch):
     conjugate = Permutation.conjugate
     monkeypatch.setattr(
@@ -879,6 +889,12 @@ PLANTS = {
         (),
         ("stars", "permutation-algebra"),
         "inverses at degree 6",
+    ),
+    "permutation-algebra/one-product-6": (
+        _misplace_degree_six_products(swap_two_images_of_one_product),
+        (),
+        ("permutation-algebra",),
+        "associativity at degree 6",
     ),
     "permutation-algebra/conjugation-6": (
         conjugate_by_a_left_product,
